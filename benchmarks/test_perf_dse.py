@@ -13,8 +13,10 @@ DSE pipeline in three phases, each timed separately so the committed
 * **warm** — the persisted sweep resumed against the warm store, asserting
   *zero* re-evaluations and a bit-identical frontier.
 
-The scalar per-task path (``eval_mode="task"``) evaluates ~1.1k points/s on
-this grid (the PR 9 baseline); the batched path must stay ≥ 50x that.
+A scalar per-point walk of the model (the evaluator the DSE used before the
+batched path; it survives only as the test oracle in ``tests/oracles.py``)
+evaluates ~1.1k points/s on this grid; the batched path must stay ≥ 50x
+that.
 """
 
 import gc

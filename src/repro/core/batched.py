@@ -4,8 +4,8 @@ The scalar pipeline in :mod:`repro.core.performance` evaluates one
 (GPU design, workload) pair per call; a design-space sweep therefore pays the
 full Python interpretation cost per point.  This module evaluates a *batch of
 GPU designs at once* as NumPy structure-of-arrays while keeping the scalar
-path as the bit-identical reference (the same vectorize-with-scalar-reference
-contract the simulator's ``vectorized=False`` mode established):
+path as the bit-identical reference (the same contract the simulator's
+vectorized pipeline keeps with its scalar reference loop):
 
 * :class:`BatchedGpuSpec` holds one array per scaled :class:`GpuSpec`
   resource, with each element derived exactly the way
@@ -66,8 +66,16 @@ _OPTION_FIELDS = operator.attrgetter(
 
 
 def _scaled_int(base: int, mult: np.ndarray) -> np.ndarray:
-    """Vectorized ``int(round(base * mult))`` (round-half-even, like Python)."""
-    return np.rint(base * mult).astype(np.int64)
+    """Vectorized ``int(round(base * mult))`` (round-half-even, like Python).
+
+    Raises ``ValueError`` where the result is not finite or overflows int64
+    (where the scalar ``int(...)`` would raise or silently grow).
+    """
+    with np.errstate(over="ignore"):
+        scaled = np.rint(base * mult)
+    if not (np.abs(scaled) < 2.0 ** 63).all():
+        raise ValueError("scaled design resource overflows int64")
+    return scaled.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -116,12 +124,19 @@ class BatchedGpuSpec:
         requantized when its multiplier differs from 1.0 (the scalar guard),
         the MAC multiplier compounds ``mac_bw * num_sm`` multipliers, and
         capacity fields quantize with round-half-even.
+
+        This is the batched path's domain check: it raises ``ValueError``
+        when any multiplier is non-finite or non-positive, or any scaled
+        resource is non-finite or overflows int64.
         """
         # One Python pass over the options, one float matrix, column views.
         matrix = np.array([_OPTION_FIELDS(opt) for opt in options],
                           dtype=np.float64).reshape(len(options), 9)
         (num_sm_mult, mac_bw_mult, regs_mult, smem_size_mult, smem_bw_mult,
          l1_bw_mult, l2_bw_mult, dram_bw_mult, tiles_f) = matrix.T
+        multipliers = matrix[:, :8]
+        if not (np.isfinite(multipliers) & (multipliers > 0)).all():
+            raise ValueError("design multipliers must be finite and positive")
         tiles = tiles_f.astype(np.int64)
         unsupported = set(tiles.tolist()) - set(CTA_TILE_FAMILIES)
         if unsupported:
@@ -133,10 +148,20 @@ class BatchedGpuSpec:
             num_sm_mult != 1.0,
             np.maximum(1, _scaled_int(base.num_sm, num_sm_mult)),
             base.num_sm).astype(np.int64)
-        # MAC throughput compounds per-SM width and SM count multipliers.
-        mac_mult = mac_bw_mult * num_sm_mult
-        fp32_flops = np.where(mac_mult != 1.0,
-                              base.fp32_flops * mac_mult, base.fp32_flops)
+        with np.errstate(over="ignore"):  # overflow is rejected below
+            # MAC throughput compounds per-SM width and SM count multipliers.
+            mac_mult = mac_bw_mult * num_sm_mult
+            fp32_flops = np.where(mac_mult != 1.0,
+                                  base.fp32_flops * mac_mult,
+                                  base.fp32_flops)
+            smem_st = base.smem_st_bytes_per_cycle * smem_bw_mult
+            smem_ld = base.smem_ld_bytes_per_cycle * smem_bw_mult
+            l1_bw = base.l1_bw_per_sm * l1_bw_mult
+            l2_bw = base.l2_bw * l2_bw_mult
+            dram_bw = base.dram_bw * dram_bw_mult
+        if not all(np.isfinite(scaled).all() for scaled in
+                   (fp32_flops, smem_st, smem_ld, l1_bw, l2_bw, dram_bw)):
+            raise ValueError("scaled design resource is not finite")
         return cls(
             base=base,
             num_sm_mult=num_sm_mult,
@@ -153,13 +178,11 @@ class BatchedGpuSpec:
             register_file_bytes=_scaled_int(base.register_file_bytes,
                                             regs_mult),
             smem_bytes=_scaled_int(base.smem_bytes, smem_size_mult),
-            smem_st_bytes_per_cycle=(base.smem_st_bytes_per_cycle
-                                     * smem_bw_mult),
-            smem_ld_bytes_per_cycle=(base.smem_ld_bytes_per_cycle
-                                     * smem_bw_mult),
-            l1_bw_per_sm=base.l1_bw_per_sm * l1_bw_mult,
-            l2_bw=base.l2_bw * l2_bw_mult,
-            dram_bw=base.dram_bw * dram_bw_mult,
+            smem_st_bytes_per_cycle=smem_st,
+            smem_ld_bytes_per_cycle=smem_ld,
+            l1_bw_per_sm=l1_bw,
+            l2_bw=l2_bw,
+            dram_bw=dram_bw,
         )
 
 

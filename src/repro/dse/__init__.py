@@ -41,13 +41,11 @@ from .drivers import (
 )
 from .batch import evaluate_points
 from .runner import (
-    EVAL_MODES,
     Exploration,
     ExplorationStats,
     PointFailure,
     PointResult,
     confirm_frontier,
-    evaluate_point,
     explore,
     store_key,
     store_keys,
@@ -105,9 +103,7 @@ __all__ = [
     "PointResult",
     "PointFailure",
     "explore",
-    "evaluate_point",
     "evaluate_points",
-    "EVAL_MODES",
     "confirm_frontier",
     "store_key",
     "store_keys",

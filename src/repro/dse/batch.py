@@ -1,14 +1,14 @@
 """Array-of-points evaluation for DSE sweeps.
 
-:func:`evaluate_points` is the batched counterpart of
-:func:`repro.dse.runner.evaluate_point`: it groups design points by workload
-signature, lowers each workload's layers once, and evaluates the whole group
-through :mod:`repro.core.batched` in a handful of NumPy passes instead of one
-scalar pipeline walk per point.  The metrics dicts it returns are
-**bit-identical** to the scalar path's — same float values, same key order,
-same bottleneck-share insertion order — which is what keeps content-keyed
-stores, the fig16 pin and resumed sweeps indistinguishable across the two
-evaluation modes.
+:func:`evaluate_points` is the DSE's only point evaluator: it groups design
+points by workload signature, lowers each workload's layers once, and
+evaluates the whole group through :mod:`repro.core.batched` in a handful of
+NumPy passes instead of one scalar pipeline walk per point.  The metrics
+dicts it returns are **bit-identical** to walking the scalar
+:class:`~repro.core.model.DeltaModel` over each point's layers — same float
+values, same key order, same bottleneck-share insertion order.  That scalar
+walk survives only as a test oracle, pinning content-keyed stores, the
+fig16 numbers and resumed sweeps.
 """
 
 from __future__ import annotations
@@ -237,14 +237,20 @@ def _assemble_group(plan: Tuple[int, int, int, Dict],
 def evaluate_points(base_gpu: GpuSpec, points: Sequence[DesignPoint], *,
                     unique: bool = True, layer_stride: int = 1,
                     serialize: bool = False):
-    """Batched :func:`repro.dse.runner.evaluate_point` over many points.
+    """Evaluate many design points with the analytic model.
 
     Groups the points by workload signature; groups that range over the
     *same* design list (the common case for a grid sweep, whose workload
     axes multiply the design axes) are fused into one stacked
     (sum-of-workloads x designs) grid so the whole sweep runs in a couple of
     NumPy passes.  Returns one metrics dict per input point, in input order,
-    bit-identical to per-point scalar evaluation.
+    bit-identical to per-point scalar evaluation.  Each dict holds
+    ``time_s``, ``throughput_tflops``, ``dram_gb``, ``l2_gb``,
+    ``resource_cost``, ``layers``, ``gemms`` and the Fig. 16c-style
+    ``bottlenecks`` time shares.  ``layer_stride`` > 1 subsamples the
+    workload's layers — the cheap proxy the successive-halving driver ranks
+    candidates with.  Raises ``ValueError`` when a design is outside the
+    model's domain (see :meth:`BatchedGpuSpec.from_options`).
 
     With ``serialize=True`` returns ``(records, lines)`` where ``lines[i]``
     is ``json.dumps(records[i], sort_keys=True)`` — produced while the group

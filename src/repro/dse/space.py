@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple, Union
 
@@ -63,8 +64,9 @@ class Axis:
             raise ValueError(f"axis {self.key!r} needs at least one value")
         if self.key in GPU_AXIS_KEYS:
             values = tuple(float(v) for v in values)
-            if any(v <= 0 for v in values):
-                raise ValueError(f"axis {self.key!r} multipliers must be positive")
+            if not all(math.isfinite(v) and v > 0 for v in values):
+                raise ValueError(
+                    f"axis {self.key!r} multipliers must be finite and positive")
         elif self.key in ("cta_tile", "batch", "dtype_bytes"):
             values = tuple(int(v) for v in values)
             if any(v <= 0 for v in values):

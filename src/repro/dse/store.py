@@ -39,7 +39,7 @@ except ImportError:  # non-POSIX platform: advisory locking degrades to no-op
 FAILURE_FIELD = "failure"
 
 #: insertion-ordered keys of the standard evaluation metrics dict (see
-#: ``repro.dse.runner.evaluate_point``) — the fast-serialization template
+#: ``repro.dse.batch.evaluate_points``) — the fast-serialization template
 #: below applies only to records of exactly this shape.
 _METRIC_KEYS = ("time_s", "throughput_tflops", "dram_gb", "l2_gb",
                 "resource_cost", "layers", "gemms", "bottlenecks")

@@ -19,9 +19,9 @@ and memoized per (CTA coordinate, K offset), every SM's L1 accesses of one
 main-loop iteration go through a single batched set-associative kernel, and
 the L1 miss stream is classified by the L2's batched LRU kernel, so per-loop
 work is a handful of array operations instead of per-sector Python calls.
-``SimulatorConfig(vectorized=False)`` selects the original scalar loop, which
-is kept as the reference implementation; both produce bit-identical
-:class:`SimTraffic` results (see tests/test_sim_engine.py).
+The original scalar loop survives as the private ``_run_reference`` method,
+a test oracle only: both produce bit-identical :class:`SimTraffic` results
+(see tests/test_sim_engine.py).
 
 Even so, exact cache simulation of a full mini-batch-256 layer remains far
 more expensive than the analytical model, so the engine simulates a
@@ -81,8 +81,6 @@ class SimulatorConfig:
     include_output_write: bool = False
     #: CTA tile family (128 for the stock kernels, 256 for scaled designs).
     cta_tile_hw: int = 128
-    #: run the vectorized pipeline (False = original scalar reference loop).
-    vectorized: bool = True
 
     def __post_init__(self) -> None:
         if self.l1_accounting not in ("sector", "request"):
@@ -174,11 +172,8 @@ class ConvLayerSimulator:
         workload = as_workload(source)
         with obs_spans.trace_deep("sim.run", workload=workload.name,
                                   m=workload.gemm.m, n=workload.gemm.n,
-                                  k=workload.gemm.k,
-                                  vectorized=self.config.vectorized):
-            if self.config.vectorized:
-                return self._run_vectorized(workload)
-            return self._run_reference(workload)
+                                  k=workload.gemm.k):
+            return self._run_vectorized(workload)
 
     # ------------------------------------------------------------------
     # Vectorized pipeline
@@ -361,10 +356,12 @@ class ConvLayerSimulator:
         )
 
     # ------------------------------------------------------------------
-    # Scalar reference pipeline
+    # Scalar reference pipeline (test oracle; run() never calls it)
     # ------------------------------------------------------------------
     def _run_reference(self, workload: GemmWorkload) -> SimResult:
-        """Original per-sector simulation loop (reference implementation)."""
+        """Original per-sector simulation loop, the oracle tests compare
+        :meth:`run` against.  It shares the timing and extrapolation
+        helpers with the vectorized pipeline."""
         gpu = self.gpu
         config = self.config
         grid = build_grid(workload, tile_hw=config.cta_tile_hw)

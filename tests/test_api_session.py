@@ -19,6 +19,7 @@ from repro.api import (
 )
 from repro.experiments import fig13_perf_titanxp
 from repro.gpu import TITAN_XP
+from repro.sim.engine import SimulatorConfig
 
 #: the tiny scale every simulation-backed test here runs at.
 TINY = dict(batch=4, max_ctas=40, layers_per_network=1)
@@ -36,9 +37,9 @@ class TestSessionPolicy:
         with pytest.raises(ValueError):
             Session(precision=-1)
 
-    def test_simulator_config_carries_engine_policy(self):
-        session = Session(vectorized=False)
-        assert session.simulator_config().vectorized is False
+    def test_simulator_config_applies_overrides(self):
+        session = Session()
+        assert session.simulator_config() == SimulatorConfig()
         assert session.simulator_config(max_ctas=7).max_ctas == 7
 
     def test_context_manager_closes_pool(self):
@@ -71,22 +72,6 @@ class TestContextLocalSession:
         after = default_session()
         assert after is not before
         assert after.jobs == 1
-
-
-class TestDeprecatedGlobalShim:
-    def test_set_simulation_defaults_warns_and_forwards(self):
-        from repro.analysis.validation import set_simulation_defaults
-        with pytest.warns(DeprecationWarning):
-            set_simulation_defaults(jobs=3, sim_cache_dir="/tmp/shim-cache")
-        assert default_session().jobs == 3
-        assert default_session().sim_cache_dir == "/tmp/shim-cache"
-        assert ValidationConfig().effective_jobs == 3
-        assert ValidationConfig().effective_sim_cache_dir == "/tmp/shim-cache"
-
-    def test_rejects_non_positive_jobs(self):
-        from repro.analysis.validation import set_simulation_defaults
-        with pytest.raises(ValueError):
-            set_simulation_defaults(jobs=0)
 
 
 class TestEstimateRequests:

@@ -10,7 +10,8 @@ tie-breaks, same serialized bytes.  This suite pins that contract:
   every golden entry exactly);
 * a hypothesis property drives random design points — conv (alexnet),
   linear (mlp) and batched-GEMM (bert-base) workloads, every pass kind,
-  fp16 and fp32 — through ``evaluate_points`` vs ``evaluate_point``;
+  fp16 and fp32 — through ``evaluate_points`` vs the scalar
+  ``evaluate_point`` oracle (``tests/oracles.py``);
 * the template-splicing serialization fast paths (``store_keys``,
   ``_descriptor_json``, ``_metrics_json``, the batch path's pre-serialized
   store lines) are byte-identical to the real ``json.dumps``;
@@ -24,11 +25,12 @@ import itertools
 import json
 import math
 import os
-from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracles import evaluate_point
 
 from repro.analysis.frontier import (OBJECTIVES, _pareto_frontier_vectorized,
                                      pareto_frontier, resolve_objectives)
@@ -37,11 +39,9 @@ from repro.core.batched import (BatchedGpuSpec, CANDIDATE_ORDER,
 from repro.core.bottleneck import Bottleneck
 from repro.core.l1 import _streaming_mli
 from repro.core.l2 import sliding_tile_unique_elements
-from repro.core.scaling import ScalingResult
 from repro.core.workload import Im2colPattern, lower_forward, lower_pass
-from repro.dse.batch import evaluate_points
-from repro.dse.runner import (_descriptor_json, evaluate_point, store_key,
-                              store_keys)
+from repro.dse.batch import _assemble_group, evaluate_points
+from repro.dse.runner import _descriptor_json, store_key, store_keys
 from repro.dse.space import (DesignPoint, GridSpace, _point_from_values,
                              grid)
 from repro.dse.store import _metrics_json
@@ -350,18 +350,20 @@ def test_sliding_tile_clamps_cols_to_matrix_extent():
 
 
 def test_bottleneck_shares_skip_zero_time_layers():
-    estimates = (
-        SimpleNamespace(time_seconds=3.0, bottleneck=Bottleneck.MAC_BW),
-        SimpleNamespace(time_seconds=0.0, bottleneck=Bottleneck.DRAM_BW),
-        SimpleNamespace(time_seconds=1.0, bottleneck=Bottleneck.L2_BW),
-    )
-    result = ScalingResult(option=DesignOption(name="baseline"),
-                           gpu=TITAN_XP, total_time_seconds=4.0, speedup=1.0,
-                           estimates=estimates)
-    shares = result.bottleneck_distribution
+    # three workloads x one design: 3 s MAC-bound, 0 s DRAM-bound, 1 s
+    # L2-bound, assembled the way evaluate_points assembles every group.
+    label = CANDIDATE_ORDER.index
+    times = np.array([[3.0], [0.0], [1.0]])
+    index = np.array([[label(Bottleneck.MAC_BW)], [label(Bottleneck.DRAM_BW)],
+                      [label(Bottleneck.L2_BW)]])
+    zeros = np.zeros((3, 1))
+    (metrics,), _ = _assemble_group((3, 3, 1, {}), times, index, zeros,
+                                    zeros, [1.0])
+    shares = metrics["bottlenecks"]
     # the zero-time layer's bottleneck must not appear as a 0.0 category.
-    assert Bottleneck.DRAM_BW not in shares
-    assert shares == {Bottleneck.MAC_BW: 0.75, Bottleneck.L2_BW: 0.25}
+    assert Bottleneck.DRAM_BW.value not in shares
+    assert shares == {Bottleneck.MAC_BW.value: 0.75,
+                      Bottleneck.L2_BW.value: 0.25}
     assert math.isclose(sum(shares.values()), 1.0)
 
 

@@ -244,6 +244,13 @@ class TestDseCommand:
                   "--axis", "num_sm=1,2", "--objectives", "speed",
                   "--strict"])
 
+    def test_dse_rejects_eval_mode_flag(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["dse", "--networks", "alexnet", "--batches", "16",
+                  "--eval-mode", "task"])
+        assert excinfo.value.code == 2
+        assert "--eval-mode" in capsys.readouterr().err
+
     def test_dse_rejects_malformed_axis(self, capsys):
         assert main(["dse", "--networks", "alexnet",
                      "--axis", "num_sm"]) == 1

@@ -1,22 +1,30 @@
 """Tests for the DSE orchestrator (repro.dse.runner) and its API surface:
-fig16-on-DSE bit-identity, point evaluation semantics, session integration
-and the DseRequest execution path."""
+the fig16 pin (golden numbers and the scalar oracle), point evaluation
+semantics, domain rejections, session integration and the DseRequest
+execution path."""
+
+import json
+import os
 
 import pytest
+from oracles import evaluate_point, workload_layers
 
 from repro.api import DseRequest, Session
-from repro.core.scaling import ScalingStudy
 from repro.dse import (
     DesignPoint,
+    ExplicitSpace,
     confirm_frontier,
-    evaluate_point,
+    evaluate_points,
     explore,
     grid,
     space_from_options,
 )
 from repro.experiments.fig16_scaling import run as run_fig16
 from repro.gpu import PAPER_DESIGN_OPTIONS, TITAN_XP, DesignOption
-from repro.networks import resnet152
+
+with open(os.path.join(os.path.dirname(__file__), "golden_fig16.json"),
+          encoding="utf-8") as _handle:
+    GOLDEN_FIG16 = json.load(_handle)
 
 
 @pytest.fixture(scope="module")
@@ -26,33 +34,59 @@ def small_space():
 
 
 class TestFig16Equivalence:
-    """Acceptance: the DSE-backed fig16 reproduces the hand-enumerated
-    ScalingStudy bit for bit."""
-
-    @pytest.fixture(scope="class")
-    def legacy(self):
-        layers = resnet152(batch=64).gemm_layers()
-        return ScalingStudy(baseline=TITAN_XP).run(layers)
+    """Acceptance: fig16 at batch 64 reproduces the committed golden numbers
+    (generated by the hand-enumerated scaling study it replaced) and the
+    per-layer scalar oracle, bit for bit."""
 
     @pytest.fixture(scope="class")
     def dse_result(self):
         return run_fig16(batch=64)
 
-    def test_speedups_bit_identical(self, legacy, dse_result):
-        rows = [row for row in dse_result.rows if "speedup" in row]
-        assert len(rows) == len(legacy) == 9
-        for old, row in zip(legacy, rows):
-            assert row["option"] == old.option.name
-            assert row["speedup"] == old.speedup
-            assert row["total_time_ms"] == old.total_time_seconds * 1e3
+    @staticmethod
+    def _speedup_rows(result):
+        return [row for row in result.rows if "speedup" in row]
 
-    def test_bottleneck_distributions_bit_identical(self, legacy, dse_result):
-        bottleneck_rows = [row for row in dse_result.rows
-                           if "speedup" not in row and "NSM" not in row]
-        for old, row in zip(legacy, bottleneck_rows):
-            expected = {key.value: value
-                        for key, value in old.bottleneck_distribution.items()}
-            assert {k: v for k, v in row.items() if k != "option"} == expected
+    @staticmethod
+    def _bottleneck_rows(result):
+        return [row for row in result.rows
+                if "speedup" not in row and "NSM" not in row]
+
+    def test_speedups_bit_identical(self, dse_result):
+        rows = self._speedup_rows(dse_result)
+        golden = GOLDEN_FIG16["options"]
+        assert len(rows) == len(golden) == 9
+        for old, row in zip(golden, rows):
+            assert row["option"] == old["option"]
+            assert row["speedup"] == old["speedup"]
+            assert row["total_time_ms"] == old["total_time_s"] * 1e3
+
+    def test_bottleneck_distributions_bit_identical(self, dse_result):
+        rows = self._bottleneck_rows(dse_result)
+        golden = GOLDEN_FIG16["options"]
+        assert len(rows) == len(golden)
+        for old, row in zip(golden, rows):
+            assert row["option"] == old["option"]
+            assert {k: v for k, v in row.items() if k != "option"} == \
+                old["bottlenecks"]
+
+    def test_matches_scalar_oracle(self, dse_result):
+        baseline = evaluate_point(
+            TITAN_XP, DesignPoint(option=DesignOption("baseline"),
+                                  network="resnet152", batch=64),
+            unique=False)
+        assert baseline["time_s"] == GOLDEN_FIG16["baseline_time_s"]
+        assert baseline["layers"] == GOLDEN_FIG16["layers"]
+        rows = zip(PAPER_DESIGN_OPTIONS, self._speedup_rows(dse_result),
+                   self._bottleneck_rows(dse_result))
+        for option, speedup_row, bottleneck_row in rows:
+            metrics = evaluate_point(
+                TITAN_XP, DesignPoint(option=option, network="resnet152",
+                                      batch=64), unique=False)
+            assert speedup_row["speedup"] == \
+                baseline["time_s"] / metrics["time_s"]
+            assert speedup_row["total_time_ms"] == metrics["time_s"] * 1e3
+            assert {k: v for k, v in bottleneck_row.items()
+                    if k != "option"} == metrics["bottlenecks"]
 
     def test_series_and_summary_shape_preserved(self, dse_result):
         assert "speedup vs TITAN Xp" in dse_result.series
@@ -67,7 +101,7 @@ class TestEvaluatePoint:
         from repro.networks import alexnet
         point = DesignPoint(option=DesignOption("baseline"),
                             network="alexnet", batch=16)
-        metrics = evaluate_point(TITAN_XP, point, unique=False)
+        metrics = evaluate_points(TITAN_XP, [point], unique=False)[0]
         model = DeltaModel(TITAN_XP)
         expected = sum(model.estimate(layer).time_seconds
                        for layer in alexnet(batch=16).gemm_layers())
@@ -76,26 +110,78 @@ class TestEvaluatePoint:
     def test_training_pass_evaluates_three_gemms_per_layer(self):
         point = DesignPoint(option=DesignOption("baseline"),
                             network="alexnet", batch=16, passes="training")
-        metrics = evaluate_point(TITAN_XP, point, unique=True)
+        metrics = evaluate_points(TITAN_XP, [point], unique=True)[0]
         assert metrics["gemms"] == 3 * metrics["layers"]
 
     def test_metrics_contract(self):
         point = DesignPoint(option=DesignOption("x", num_sm=2.0),
                             network="alexnet", batch=16)
-        metrics = evaluate_point(TITAN_XP, point)
-        for key in ("time_s", "throughput_tflops", "dram_gb", "l2_gb",
-                    "resource_cost", "layers", "gemms", "bottlenecks"):
-            assert key in metrics
+        metrics = evaluate_points(TITAN_XP, [point])[0]
+        assert list(metrics) == ["time_s", "throughput_tflops", "dram_gb",
+                                 "l2_gb", "resource_cost", "layers", "gemms",
+                                 "bottlenecks"]
         assert metrics["time_s"] > 0
         assert sum(metrics["bottlenecks"].values()) == pytest.approx(1.0)
 
     def test_layer_stride_subsamples(self):
         point = DesignPoint(option=DesignOption("baseline"),
                             network="vgg16", batch=16)
-        full = evaluate_point(TITAN_XP, point, unique=True)
-        proxy = evaluate_point(TITAN_XP, point, unique=True, layer_stride=4)
+        full = evaluate_points(TITAN_XP, [point], unique=True)[0]
+        proxy = evaluate_points(TITAN_XP, [point], unique=True,
+                                layer_stride=4)[0]
         assert proxy["layers"] < full["layers"]
         assert proxy["time_s"] < full["time_s"]
+        assert proxy["layers"] == len(
+            workload_layers("vgg16", 16, 4, True)[::4])
+        assert json.dumps(proxy) == json.dumps(evaluate_point(
+            TITAN_XP, point, unique=True, layer_stride=4))
+
+
+class TestDomainRejection:
+    """Out-of-domain multipliers fail their own point, never a row of
+    garbage: NaN, inf and 1e308 (which overflows the scaled resources)."""
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 1e308])
+    @pytest.mark.parametrize("key", ["num_sm", "regs", "dram_bw"])
+    def test_bad_multiplier_becomes_point_failure(self, key, value):
+        good = [DesignPoint(option=DesignOption("baseline"),
+                            network="alexnet", batch=8),
+                DesignPoint(option=DesignOption("x", num_sm=2.0),
+                            network="alexnet", batch=8)]
+        bad = DesignPoint(option=DesignOption("bad", **{key: value}),
+                          network="alexnet", batch=8)
+        with pytest.raises(ValueError):
+            evaluate_points(TITAN_XP, [bad])
+        exploration = explore(ExplicitSpace((good[0], bad, good[1])))
+        assert [f.point.name for f in exploration.failures] == ["bad"]
+        assert exploration.failures[0].failure.error_type == "ValueError"
+        assert [r.point.name for r in exploration.results] == ["baseline",
+                                                               "x"]
+        for result in exploration.results:
+            assert json.dumps(result.metrics) == json.dumps(
+                evaluate_point(TITAN_XP, result.point))
+
+    def test_bad_point_isolated_in_pool_chunk(self):
+        points = (DesignPoint(option=DesignOption("x", num_sm=2.0),
+                              network="alexnet", batch=8),
+                  DesignPoint(option=DesignOption("bad", mac_bw=1e308),
+                              network="alexnet", batch=8))
+        with Session(jobs=2, retries=0) as session:
+            exploration = explore(ExplicitSpace(points), session=session)
+        assert [f.point.name for f in exploration.failures] == ["bad"]
+        assert [r.point.name for r in exploration.results] == ["x"]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_axis_rejects_non_finite_and_non_positive(self, value):
+        with pytest.raises(ValueError, match="finite and positive"):
+            grid({"num_sm": (1, value)}, network="alexnet", batch=8)
+
+    def test_axis_accepts_finite_huge_multiplier_then_fails_point(self):
+        space = grid({"num_sm": (1, 1e308)}, network="alexnet", batch=8)
+        exploration = explore(space)
+        assert len(exploration.results) == 1
+        assert len(exploration.failures) == 1
+        assert exploration.failures[0].point.option.num_sm == 1e308
 
 
 class TestExplore:
@@ -185,6 +271,13 @@ class TestDseRequest:
             DseRequest(space=small_space, driver="random")
         with pytest.raises(ValueError, match="unknown objective"):
             DseRequest(space=small_space, objectives=("speed",))
+
+    def test_no_evaluator_switch(self, small_space):
+        """One evaluator: there is no ``eval_mode`` to select another."""
+        with pytest.raises(TypeError, match="eval_mode"):
+            DseRequest(space=small_space, eval_mode="task")
+        with pytest.raises(TypeError, match="eval_mode"):
+            explore(small_space, eval_mode="task")
 
     def test_session_run_produces_dse_report(self, small_space, tmp_path):
         store = str(tmp_path / "sweep.jsonl")

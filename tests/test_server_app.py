@@ -154,6 +154,22 @@ class TestStructuredErrors:
         assert payload["kind"] == "error"
         assert "not valid JSON" in payload["meta"]["error_message"]
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_dse_non_finite_axis_literal_is_structured_400(self, app,
+                                                            literal):
+        raw = ('{"networks": ["alexnet"], "batches": [8], '
+               '"axes": {"num_sm": [1, %s]}}' % literal).encode()
+        status, payload = json_request(app, "POST", "/v1/dse", raw_body=raw)
+        assert status == 400
+        assert payload["meta"]["error_type"] == "BadRequest"
+        assert "finite and positive" in payload["meta"]["error_message"]
+
+    def test_dse_eval_mode_field_is_rejected(self, app):
+        status, payload = json_request(app, "POST", "/v1/dse",
+                                       body={"eval_mode": "task"})
+        assert status == 400
+        assert "eval_mode" in payload["meta"]["error_message"]
+
     def test_error_body_shape_matches_cli_error_report(self, app, capsys):
         exit_code = main(["estimate", "--network", "made-up-net",
                           "--format", "json"])

@@ -115,7 +115,7 @@ def test_vectorized_engine_bit_identical_on_dense_traces(layer, pass_kind):
     vectorized = ConvLayerSimulator(
         TITAN_XP, SimulatorConfig(max_ctas=None)).run(workload)
     scalar = ConvLayerSimulator(
-        TITAN_XP, SimulatorConfig(max_ctas=None, vectorized=False)).run(workload)
+        TITAN_XP, SimulatorConfig(max_ctas=None))._run_reference(workload)
     for field in ("l1_bytes", "l2_bytes", "dram_bytes", "dram_ifmap_bytes",
                   "dram_filter_bytes", "l1_requests"):
         assert (getattr(vectorized.traffic, field)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.layer import ConvLayerConfig
 from repro.core.model import DeltaModel
+from repro.core.workload import as_workload
 from repro.gpu import TITAN_XP
 from repro.sim.engine import ConvLayerSimulator, SimResult, SimulatorConfig
 
@@ -143,8 +144,7 @@ class TestGoldenTraffic:
         layer_kwargs, config_kwargs, expected = GOLDEN_CASES[case]
         layer = ConvLayerConfig.square(case, **layer_kwargs)
         result = ConvLayerSimulator(
-            TITAN_XP, SimulatorConfig(vectorized=True, **config_kwargs)
-        ).run(layer)
+            TITAN_XP, SimulatorConfig(**config_kwargs)).run(layer)
         assert _traffic_tuple(result) == expected
 
     @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
@@ -152,8 +152,8 @@ class TestGoldenTraffic:
         layer_kwargs, config_kwargs, expected = GOLDEN_CASES[case]
         layer = ConvLayerConfig.square(case, **layer_kwargs)
         result = ConvLayerSimulator(
-            TITAN_XP, SimulatorConfig(vectorized=False, **config_kwargs)
-        ).run(layer)
+            TITAN_XP, SimulatorConfig(**config_kwargs)
+        )._run_reference(as_workload(layer))
         assert _traffic_tuple(result) == expected
 
     def test_vectorized_equals_reference_on_multi_wave_grid(self):
@@ -164,8 +164,8 @@ class TestGoldenTraffic:
         fast = ConvLayerSimulator(
             TITAN_XP, SimulatorConfig(max_ctas=150)).run(layer)
         slow = ConvLayerSimulator(
-            TITAN_XP, SimulatorConfig(max_ctas=150, vectorized=False)
-        ).run(layer)
+            TITAN_XP, SimulatorConfig(max_ctas=150)
+        )._run_reference(as_workload(layer))
         assert _traffic_tuple(fast) == _traffic_tuple(slow)
 
 

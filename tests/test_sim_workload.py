@@ -135,7 +135,7 @@ class TestBackwardEngine:
         vec = ConvLayerSimulator(
             TITAN_XP, SimulatorConfig(max_ctas=60)).run(workload)
         ref = ConvLayerSimulator(
-            TITAN_XP, SimulatorConfig(max_ctas=60, vectorized=False)).run(workload)
+            TITAN_XP, SimulatorConfig(max_ctas=60))._run_reference(workload)
         assert vec.traffic == ref.traffic
         assert vec.time_seconds == ref.time_seconds
         assert vec.pass_kind == pass_kind
