@@ -97,38 +97,19 @@ def pareto_frontier(metric_rows: Sequence[Mapping[str, float]],
     Duplicated metric vectors are all kept (they dominate nothing and are
     dominated by nothing), so equal-merit designs stay visible side by side.
     """
-    if len(metric_rows) > 64:
-        # np.negative flips the sign bit exactly, so the oriented columns
-        # are bitwise equal to the scalar Objective.oriented values.
-        values = np.empty((len(metric_rows), len(objectives)))
-        for j, objective in enumerate(objectives):
-            values[:, j] = list(map(operator.itemgetter(objective.metric),
-                                    metric_rows))
-            if objective.direction == "min":
-                np.negative(values[:, j], out=values[:, j])
-        return _pareto_frontier_vectorized(values)
-    oriented = [
-        tuple(objective.oriented(float(row[objective.metric]))
-              for objective in objectives)
-        for row in metric_rows
-    ]
-    frontier: List[int] = []
-    for i, candidate in enumerate(oriented):
-        dominated = False
-        for j, other in enumerate(oriented):
-            if i == j:
-                continue
-            if all(o >= c for o, c in zip(other, candidate)) and \
-                    any(o > c for o, c in zip(other, candidate)):
-                dominated = True
-                break
-        if not dominated:
-            frontier.append(i)
-    return frontier
+    # np.negative flips the sign bit exactly, so the oriented columns are
+    # bitwise equal to the scalar Objective.oriented values.
+    values = np.empty((len(metric_rows), len(objectives)))
+    for j, objective in enumerate(objectives):
+        values[:, j] = list(map(operator.itemgetter(objective.metric),
+                                metric_rows))
+        if objective.direction == "min":
+            np.negative(values[:, j], out=values[:, j])
+    return _pareto_frontier_vectorized(values)
 
 
 def _pareto_frontier_vectorized(oriented) -> List[int]:
-    """NumPy domination filter, identical to the scalar O(n^2) loop above.
+    """NumPy domination filter: the exact non-dominated set of the rows.
 
     ``oriented`` is an (n, d) array-like of larger-is-better values.
 
@@ -139,24 +120,24 @@ def _pareto_frontier_vectorized(oriented) -> List[int]:
     with one small O((m+b)^2) broadcast — archive members dominated by a
     newcomer fall out here.  A row never dominates itself or its duplicates
     (no strict improvement), so no self-exclusion is needed and duplicated
-    rows all survive — the exact semantics of the reference loop.  Typical
+    rows all survive — the exact semantics of the O(n^2) pairwise
+    definition (:func:`dominates` applied to every pair).  Typical
     cost is O(n * frontier) instead of O(n^2).
 
     Points are visited in descending order of their oriented-value sum: a
-    dominator always has a strictly larger sum than its dominatee, so
+    dominator's sum is never smaller than its dominatee's, so
     strong points enter the archive before the points they dominate, the
     cheap archive prefilter absorbs almost everything, and the quadratic
     recompute rarely sees survivors.  The visit order is only a heuristic —
     the returned set is the exact non-dominated set either way.
 
-    The sums double as the strictness test: ``all(a >= b)`` plus a strictly
-    larger sum implies strict domination, while ``all(a >= b)`` with equal
-    sums forces ``a == b`` componentwise (a duplicate, which must survive).
-    That replaces the elementwise ``>`` broadcast with an O(n) sum compare.
+    Strictness is tested elementwise: given ``all(a >= b)``, ``a`` dominates
+    ``b`` iff some column has ``a > b``.  This is exact on every input,
+    including rows whose sums round together or are NaN.
 
     Domination matrices are accumulated per objective with in-place ``&=``
-    over 2-D comparisons — one contiguous column at a time — instead of one
-    (m, b, d) broadcast with an ``.all(axis=2)`` reduce; skipping the 3-D
+    and ``|=`` over 2-D comparisons — one contiguous column at a time —
+    instead of one (m, b, d) broadcast with an ``.all(axis=2)`` reduce; skipping the 3-D
     temporary and the reduce pass is worth ~6x on the blocks this loop
     actually sees.
     """
@@ -165,6 +146,16 @@ def _pareto_frontier_vectorized(oriented) -> List[int]:
     sums = values.sum(axis=1)
     order = np.argsort(-sums, kind="stable")
     cols = [np.ascontiguousarray(values[:, j]) for j in range(width)]
+
+    def dominated_by(rows, targets):
+        """Mask whose ``[i, j]`` says ``rows[i]`` dominates ``targets[j]``."""
+        mask = cols[0][rows][:, None] >= cols[0][targets][None, :]
+        better = cols[0][rows][:, None] > cols[0][targets][None, :]
+        for col in cols[1:]:
+            mask &= col[rows][:, None] >= col[targets][None, :]
+            better |= col[rows][:, None] > col[targets][None, :]
+        return mask & better
+
     archive = np.empty(0, dtype=np.int64)
     # a small first block seeds the archive cheaply (its recompute is the
     # only one without a prefilter, and quadratic in the block size); later
@@ -175,23 +166,11 @@ def _pareto_frontier_vectorized(oriented) -> List[int]:
         start += block
         block = 256
         if archive.size:
-            first = cols[0]
-            dominated = first[archive][:, None] >= first[cand][None, :]
-            for col in cols[1:]:
-                dominated &= col[archive][:, None] >= col[cand][None, :]
-            dominated &= sums[archive][:, None] > sums[cand][None, :]
-            cand = cand[~dominated.any(axis=0)]
+            cand = cand[~dominated_by(archive, cand).any(axis=0)]
             if cand.size == 0:
                 continue
         combined = np.concatenate([archive, cand])
-        combined_sums = sums[combined]
-        first = cols[0][combined]
-        dominated = first[:, None] >= first[None, :]
-        for col in cols[1:]:
-            taken = col[combined]
-            dominated &= taken[:, None] >= taken[None, :]
-        dominated &= combined_sums[:, None] > combined_sums[None, :]
-        archive = combined[~dominated.any(axis=0)]
+        archive = combined[~dominated_by(combined, combined).any(axis=0)]
     return [int(i) for i in np.sort(archive)]
 
 

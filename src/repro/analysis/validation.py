@@ -13,13 +13,14 @@ far slower than the analytical model, so validation runs use a reduced
 mini-batch and a bounded number of simulated CTAs; the defaults are chosen so
 the whole paper suite completes in minutes (see :class:`ValidationConfig`).
 
-Two throughput knobs help repeated figure runs:
+Validation runs execute on a :class:`repro.api.Session`, which owns the two
+throughput knobs for repeated figure runs:
 
-* ``jobs`` fans the per-layer simulations out over a process pool
-  (``--jobs`` on the CLI), and
-* ``sim_cache_dir`` persists per-layer simulator results on disk keyed by
-  (gpu, layer, simulator config), so re-running a figure skips simulation
-  entirely (``--sim-cache`` on the CLI).
+* ``Session(jobs=N)`` fans the per-layer simulations out over the session's
+  process pool (``--jobs`` on the CLI), and
+* ``Session(sim_cache_dir=DIR)`` persists per-layer simulator results on disk
+  keyed by (gpu, layer, simulator config), so re-running a figure skips
+  simulation entirely (``--sim-cache`` on the CLI).
 
 See EXPERIMENTS.md for how to rerun the suite at larger scale.
 """
@@ -29,9 +30,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .. import faults
 from ..core.bottleneck import Bottleneck
@@ -60,12 +60,6 @@ class ValidationConfig:
     max_ctas: Optional[int] = 180
     #: restrict each network to at most this many (unique) layers; None = all.
     layers_per_network: Optional[int] = 4
-    #: per-layer simulations run across this many worker processes
-    #: (None = the active session's jobs setting, normally 1 = serial).
-    jobs: Optional[int] = None
-    #: persist per-layer simulator results under this directory
-    #: (None = the active session's cache directory, normally disabled).
-    sim_cache_dir: Optional[str] = None
     #: restrict the population to these networks (None = the full paper suite).
     networks: Optional[Tuple[str, ...]] = None
     #: per-layer simulation wall-clock timeout in seconds
@@ -82,20 +76,6 @@ class ValidationConfig:
 
     def simulator_config(self) -> SimulatorConfig:
         return SimulatorConfig(max_ctas=self.max_ctas)
-
-    @property
-    def effective_jobs(self) -> int:
-        if self.jobs is not None:
-            return self.jobs
-        from ..api.session import current_session
-        return current_session().jobs
-
-    @property
-    def effective_sim_cache_dir(self) -> Optional[str]:
-        if self.sim_cache_dir is not None:
-            return self.sim_cache_dir
-        from ..api.session import current_session
-        return current_session().sim_cache_dir
 
 
 #: a configuration that runs every unique layer of the paper suite.
@@ -303,29 +283,11 @@ def _simulate_task(task: Tuple) -> SimResult:
                           pass_kind=pass_kind)
 
 
-def simulate_population(gpu: GpuSpec,
-                        layers: Sequence[LayerConfig],
-                        config: SimulatorConfig,
-                        jobs: int = 1,
-                        cache_dir: Optional[str] = None) -> List[SimResult]:
-    """Simulate many layers, optionally across a process pool."""
-    tasks = [(gpu, layer, config, cache_dir) for layer in layers]
-    if jobs <= 1 or len(tasks) <= 1:
-        return [_simulate_task(task) for task in tasks]
-    workers = min(jobs, len(tasks))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_simulate_task, tasks))
-
-
 def validate_layer(network: str, layer: LayerConfig, gpu: GpuSpec,
-                   simulator_config: Optional[SimulatorConfig] = None,
-                   model: Optional[DeltaModel] = None,
-                   sim_result: Optional[SimResult] = None) -> LayerValidation:
-    """Run model and simulator for one layer and collect the comparison."""
+                   sim_result: SimResult,
+                   model: Optional[DeltaModel] = None) -> LayerValidation:
+    """Compare the model's estimate of one layer with its simulation."""
     model = model or DeltaModel(gpu)
-    if sim_result is None:
-        simulator = ConvLayerSimulator(gpu, simulator_config or SimulatorConfig())
-        sim_result = simulator.run(layer)
     traffic = model.traffic(layer)
     estimate = model.estimate(layer)
     return LayerValidation(
@@ -339,30 +301,6 @@ def validate_layer(network: str, layer: LayerConfig, gpu: GpuSpec,
         measured_time=sim_result.time_seconds,
         bottleneck=estimate.bottleneck,
     )
-
-
-def validate_gpu(gpu: GpuSpec,
-                 config: ValidationConfig = QUICK_VALIDATION,
-                 layers: Optional[Sequence[Tuple[str, LayerConfig]]] = None
-                 ) -> ValidationReport:
-    """Validate DeLTA against the simulator for one GPU.
-
-    The per-layer simulations — by far the dominant cost — run across
-    ``config.effective_jobs`` worker processes and consult the optional
-    on-disk result cache; the cheap analytical model runs inline.
-    """
-    population = list(layers) if layers is not None else select_layers(config)
-    model = DeltaModel(gpu)
-    simulator_config = config.simulator_config()
-    sim_results = simulate_population(
-        gpu, [layer for _, layer in population], simulator_config,
-        jobs=config.effective_jobs,
-        cache_dir=config.effective_sim_cache_dir)
-    records = tuple(
-        validate_layer(network, layer, gpu, model=model, sim_result=sim_result)
-        for (network, layer), sim_result in zip(population, sim_results)
-    )
-    return ValidationReport(gpu=gpu, records=records)
 
 
 def validation_report(gpu: GpuSpec,
@@ -381,8 +319,3 @@ def validation_report(gpu: GpuSpec,
     session = session if session is not None else current_session()
     return session.validation_report(gpu, config)
 
-
-def cached_validation(gpu: GpuSpec,
-                      config: ValidationConfig = QUICK_VALIDATION) -> ValidationReport:
-    """Backward-compatible alias for :func:`validation_report`."""
-    return validation_report(gpu, config)

@@ -554,7 +554,7 @@ def _request_units(session: "Session", request: Request) -> Iterator["SimUnit"]:
             gpus.append(baseline_gpu)
     else:
         return
-    sim_config = session.validation_sim_config(config)
+    sim_config = config.simulator_config()
     population = select_layers(config)
     for gpu in gpus:
         for _, layer in population:

@@ -274,16 +274,6 @@ class Session:
             raise ValueError("retry_backoff must be non-negative")
         self._retry_backoff = float(value)
 
-    def simulator_config(self, base: Optional[SimulatorConfig] = None,
-                         **overrides) -> SimulatorConfig:
-        """``base`` (default: a stock :class:`SimulatorConfig`) with
-        ``overrides`` applied."""
-        return replace(base if base is not None else SimulatorConfig(), **overrides)
-
-    def validation_sim_config(self, config: ValidationConfig) -> SimulatorConfig:
-        """The simulator config a validation run uses under this session."""
-        return self.simulator_config(config.simulator_config())
-
     # -- resilient task execution ---------------------------------------
 
     def _check_open(self) -> None:
@@ -301,22 +291,23 @@ class Session:
             raise ValueError("retries must be non-negative")
         return effective_timeout, budget
 
-    def _run_tasks(self, func, tasks: Sequence, *, jobs: Optional[int] = None,
+    def _run_tasks(self, func, tasks: Sequence, *,
                    timeout=_UNSET, retries: Optional[int] = None,
                    isolate: bool = False
                    ) -> List[Union[object, TaskFailure]]:
         """Execute tasks with crash recovery, retries and timeouts.
 
         Returns one entry per task: the result, or a :class:`TaskFailure`
-        describing why the unit produced none.  This is the single resilient
-        engine under :meth:`simulate_many` and :meth:`map_tasks`.
+        describing why the unit produced none.  This is the only executor of
+        simulation and model fan-out in the package: :meth:`simulate_many`
+        and :meth:`map_tasks` both run on it, over ``self.jobs`` workers.
         """
         tasks = list(tasks)
         if not tasks:
             return []
         self._check_open()
         effective_timeout, budget = self._resolve_policy(timeout, retries)
-        workers = jobs if jobs is not None else self.jobs
+        workers = self.jobs
         # a timeout needs a pool even for serial work: an in-process task
         # cannot be cancelled, a worker process can be killed; ``isolate``
         # likewise forces worker processes because the task may crash its
@@ -326,8 +317,8 @@ class Session:
                     or effective_timeout is not None or isolate)
         if not use_pool:
             return self._run_tasks_serial(func, tasks, budget)
-        return self._run_tasks_pool(func, tasks, max(1, int(workers)),
-                                    effective_timeout, budget)
+        return self._run_tasks_pool(func, tasks, workers, effective_timeout,
+                                    budget)
 
     def _run_tasks_serial(self, func, tasks: List, budget: int) -> List:
         outcomes: List[Union[object, TaskFailure]] = []
@@ -548,12 +539,10 @@ class Session:
                  config: Optional[SimulatorConfig] = None,
                  pass_kind: PassKind = "forward") -> SimResult:
         """Simulate one layer's pass, consulting the session memo and cache."""
-        resolved = config if config is not None else self.simulator_config()
+        resolved = config if config is not None else SimulatorConfig()
         return self.simulate_many([(gpu, layer, resolved, pass_kind)])[0]
 
     def simulate_many(self, units: Sequence[SimUnit],
-                      jobs: Optional[int] = None,
-                      cache_dir: Optional[str] = None,
                       timeout=_UNSET, retries: Optional[int] = None,
                       strict: bool = True) -> List[SimResult]:
         """Simulate many work units, deduped, over the session's pool.
@@ -562,8 +551,7 @@ class Session:
         the session memo cost nothing; duplicates within ``units`` — including
         same-structure layers under different names, and the same layer
         requested for the same training pass twice — run once.
-        ``jobs``/``cache_dir``/``timeout``/``retries`` override the session
-        policy for this call.
+        ``timeout``/``retries`` override the session policy for this call.
 
         Execution is fault tolerant: worker crashes relaunch the pool and
         retry the unfinished units, stragglers past ``timeout`` are cancelled.
@@ -584,14 +572,13 @@ class Session:
                     seen.add(key)
                     fresh.append(_normalize_unit(unit))
                     fresh_keys.append(key)
-            if cache_dir is None:
-                cache_dir = self.sim_cache_dir
+            cache_dir = self.sim_cache_dir
         tasks = [(gpu, layer, config, cache_dir, pass_kind)
                  for gpu, layer, config, pass_kind in fresh]
         with obs_spans.trace("simulate", units=len(tasks),
                              memo_hits=len(units) - len(tasks)):
-            results = self._run_tasks(_run_unit, tasks, jobs=jobs,
-                                      timeout=timeout, retries=retries)
+            results = self._run_tasks(_run_unit, tasks, timeout=timeout,
+                                      retries=retries)
         failures: Dict[Tuple, TaskFailure] = {}
         with self._lock:
             for key, result in zip(fresh_keys, results):
@@ -610,15 +597,15 @@ class Session:
             return [self._sim_results[key] if key in self._sim_results
                     else failures[key] for key in keys]
 
-    def map_tasks(self, func, tasks: Sequence, jobs: Optional[int] = None,
-                  timeout=_UNSET, retries: Optional[int] = None,
+    def map_tasks(self, func, tasks: Sequence, timeout=_UNSET,
+                  retries: Optional[int] = None,
                   return_failures: bool = False,
                   isolate: bool = False) -> List:
         """Map a picklable function over tasks on the session's process pool.
 
         The generic fan-out primitive the design-space exploration uses for
         per-point model evaluations; falls back to a serial loop when the
-        effective job count (or the task count) is 1 and no timeout is set.
+        session's job count (or the task count) is 1 and no timeout is set.
         ``isolate=True`` disables that fallback: tasks always run in worker
         processes, so a task that crashes its host process (fault injection,
         native-code faults) can never take the driver down with it.
@@ -633,9 +620,8 @@ class Session:
         """
         tasks = list(tasks)
         with obs_spans.trace("map_tasks", tasks=len(tasks)):
-            outcomes = self._run_tasks(func, tasks, jobs=jobs,
-                                       timeout=timeout, retries=retries,
-                                       isolate=isolate)
+            outcomes = self._run_tasks(func, tasks, timeout=timeout,
+                                       retries=retries, isolate=isolate)
         if not return_failures:
             failures = [outcome for outcome in outcomes
                         if isinstance(outcome, TaskFailure)]
@@ -685,13 +671,11 @@ class Session:
                           ) -> ValidationReport:
         """Model-vs-simulator records for one GPU, memoized on the session.
 
-        The memo key ignores ``jobs``/``sim_cache_dir``/``timeout``/
-        ``retries`` (execution policy does not change results), so
-        experiments with equal populations share one run regardless of how
-        it was parallelized.
+        The memo key ignores the config's ``timeout``/``retries`` (execution
+        policy does not change results), so experiments with equal
+        populations share one run regardless of their resilience overrides.
         """
-        key = (gpu, replace(config, jobs=None, sim_cache_dir=None,
-                            timeout=None, retries=None))
+        key = (gpu, replace(config, timeout=None, retries=None))
         with self._lock:
             memoized = self._validation_memo.get(key)
         if memoized is not None:
@@ -702,15 +686,14 @@ class Session:
     def _build_validation_report(self, gpu: GpuSpec, config: ValidationConfig,
                                  key) -> ValidationReport:
         population = select_layers(config)
-        sim_config = self.validation_sim_config(config)
+        sim_config = config.simulator_config()
         sims = self.simulate_many(
             [(gpu, layer, sim_config) for _, layer in population],
-            jobs=config.jobs, cache_dir=config.sim_cache_dir,
             timeout=config.timeout if config.timeout is not None else _UNSET,
             retries=config.retries)
         model = DeltaModel(gpu)
         records = tuple(
-            validate_layer(network, layer, gpu, model=model, sim_result=sim)
+            validate_layer(network, layer, gpu, sim, model=model)
             for (network, layer), sim in zip(population, sims))
         report = ValidationReport(gpu=gpu, records=records)
         with self._lock:

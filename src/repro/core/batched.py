@@ -387,11 +387,6 @@ class BatchedEstimates:
     #: MAC work per workload (design-independent), shape (W,).
     flops: np.ndarray
 
-    def bottlenecks(self, workload_row: int = 0) -> list:
-        """Per-design bottleneck labels of one workload row."""
-        return [CANDIDATE_ORDER[i]
-                for i in self.bottleneck_index[workload_row].tolist()]
-
 
 def _take(gpus: BatchedGpuSpec, idx: np.ndarray) -> BatchedGpuSpec:
     """Design-column subset of a batch (same baseline GPU)."""
@@ -463,11 +458,3 @@ def estimate_grid(gpus: BatchedGpuSpec,
         times=times, bottleneck_index=index,
         dram_bytes=dram, l2_bytes=l2, flops=stacks[128].flops)
 
-
-def estimate_workload_batch(gpus: BatchedGpuSpec, workload: GemmWorkload,
-                            traffic_by_tile: Dict[int, TrafficEstimate] = None
-                            ) -> BatchedEstimates:
-    """Single-workload convenience wrapper around :func:`estimate_grid`."""
-    if traffic_by_tile is None:
-        traffic_by_tile = traffic_by_family(gpus.base, workload)
-    return estimate_grid(gpus, [traffic_by_tile])

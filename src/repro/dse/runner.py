@@ -36,6 +36,7 @@ from ..gpu.spec import GpuSpec
 from ..obs import metrics as obs_metrics
 from ..obs import spans as obs_spans
 from ..resilience import TaskFailure
+from ..sim.engine import SimulatorConfig
 from .batch import _workload_layers, evaluate_points
 from .drivers import ExhaustiveDriver, SuccessiveHalvingDriver
 from .space import DesignPoint, SearchSpace
@@ -126,12 +127,6 @@ def _descriptor_frags(point: DesignPoint) -> Tuple[str, str]:
             % (repr(point.dtype_bytes), _json_str(point.network),
                _json_str(point.passes)))
     return head, tail
-
-
-def _descriptor_json(point: DesignPoint) -> str:
-    """Fast, byte-identical ``json.dumps(point.descriptor(), sort_keys=True)``."""
-    head, tail = _descriptor_frags(point)
-    return head + _design_json(point.option) + tail
 
 
 def store_key(base_gpu: GpuSpec, point: DesignPoint, unique: bool) -> str:
@@ -353,9 +348,9 @@ class Exploration:
 # The orchestrator
 # ----------------------------------------------------------------------
 
-def _resilience_kwargs(jobs: Optional[int], timeout: Optional[float],
+def _resilience_kwargs(timeout: Optional[float],
                        retries: Optional[int]) -> Dict[str, object]:
-    kwargs: Dict[str, object] = {"jobs": jobs, "return_failures": True}
+    kwargs: Dict[str, object] = {"return_failures": True}
     if timeout is not None:
         kwargs["timeout"] = timeout
     if retries is not None:
@@ -419,8 +414,7 @@ def _evaluate_batch_local(base_gpu: GpuSpec, points: Sequence[DesignPoint],
     return outcomes
 
 
-def _map_evaluations_batched(session, jobs: Optional[int],
-                             base_gpu: GpuSpec,
+def _map_evaluations_batched(session, base_gpu: GpuSpec,
                              points: Sequence[DesignPoint], unique: bool,
                              timeout: Optional[float],
                              retries: Optional[int],
@@ -434,7 +428,7 @@ def _map_evaluations_batched(session, jobs: Optional[int],
     """
     if session is None:
         return _evaluate_batch_local(base_gpu, points, unique, lines_out)
-    kwargs = _resilience_kwargs(jobs, timeout, retries)
+    kwargs = _resilience_kwargs(timeout, retries)
     chunks = [tuple(points[start:start + BATCH_CHUNK])
               for start in range(0, len(points), BATCH_CHUNK)]
     chunk_tasks = [(base_gpu, chunk, unique) for chunk in chunks]
@@ -454,7 +448,7 @@ def _map_evaluations_batched(session, jobs: Optional[int],
     return outcomes
 
 
-def _score_proxy_batched(session, jobs: Optional[int], base_gpu: GpuSpec,
+def _score_proxy_batched(session, base_gpu: GpuSpec,
                          points: Sequence[DesignPoint],
                          unique: bool) -> List[Dict[str, object]]:
     """Batched proxy scoring for successive halving rungs.
@@ -474,14 +468,14 @@ def _score_proxy_batched(session, jobs: Optional[int], base_gpu: GpuSpec,
                     unique)
                    for start in range(0, len(points), BATCH_CHUNK)]
     chunk_results = session.map_tasks(_proxy_batch_task, chunk_tasks,
-                                      jobs=jobs, isolate=True)
+                                      isolate=True)
     return [metrics for chunk in chunk_results for metrics in chunk]
 
 
 def explore(space: SearchSpace, *, driver=None, base_gpu: GpuSpec = TITAN_XP,
             objectives: Sequence[object] = DEFAULT_OBJECTIVE_NAMES,
             store: Optional[ResultStore] = None, session=None,
-            jobs: Optional[int] = None, unique: bool = True,
+            unique: bool = True,
             include_baseline: bool = True, timeout: Optional[float] = None,
             retries: Optional[int] = None) -> Exploration:
     """Run one design-space exploration end to end.
@@ -522,8 +516,8 @@ def explore(space: SearchSpace, *, driver=None, base_gpu: GpuSpec = TITAN_XP,
             with obs_spans.trace("dse.rung", candidates=len(candidates),
                                  fresh=len(missing)):
                 if missing:
-                    fresh = _score_proxy_batched(session, jobs, base_gpu,
-                                                 missing, unique)
+                    fresh = _score_proxy_batched(session, base_gpu, missing,
+                                                 unique)
                     stats.proxy_evaluations += len(missing)
                     for point, metrics in zip(missing, fresh):
                         proxy_memo[point.point_hash()] = metrics
@@ -601,7 +595,7 @@ def explore(space: SearchSpace, *, driver=None, base_gpu: GpuSpec = TITAN_XP,
                              memo_hits=stats.memo_hits,
                              store_hits=stats.store_hits):
             fresh = _map_evaluations_batched(
-                session, jobs, base_gpu,
+                session, base_gpu,
                 [point for _, _, point in pending], unique,
                 timeout, retries, lines_out)
         store_batch: List[Tuple[str, str, Dict[str, object],
@@ -712,8 +706,8 @@ def confirm_frontier(exploration: Exploration, session, *, top: int = 3,
         layer = max(layers, key=lambda l: l.macs)
         pass_kind = expand_passes(point.passes)[0]
         gpu = point.option.apply(exploration.base_gpu)
-        config = session.simulator_config(
-            max_ctas=max_ctas, cta_tile_hw=point.option.cta_tile_hw)
+        config = SimulatorConfig(max_ctas=max_ctas,
+                                 cta_tile_hw=point.option.cta_tile_hw)
         sim = session.simulate(gpu, layer, config, pass_kind=pass_kind)
         model = DeltaModel(gpu, cta_tile_hw=point.option.cta_tile_hw)
         est = model.estimate_pass(layer, pass_kind)

@@ -429,11 +429,29 @@ def default_space(networks: Sequence[str] = ("resnet152",),
         Axis("dram_bw", (1.0, 1.5, 2.0)),
         Axis("cta_tile", tuple(cta_tiles)),
     ]
+    return space_from_axes(axes, networks=networks, batches=batches,
+                           passes=passes, dtype_bytes=dtype_bytes)
+
+
+def space_from_axes(axes: Sequence[Axis],
+                    networks: Sequence[str] = ("resnet152",),
+                    batches: Sequence[int] = (256,),
+                    passes: str = "forward",
+                    dtype_bytes: int = FP32_BYTES) -> GridSpace:
+    """The grid of ``axes`` over the requested workloads.
+
+    More than one network or batch becomes a ``network``/``batch`` axis
+    unless ``axes`` already sweeps that key; the first of each is the
+    unswept default.  :func:`default_space`, the CLI's ``--axis`` flags and
+    the server's ``axes`` field all build their grid here.
+    """
+    axes = list(axes)
+    keys = {ax.key for ax in axes}
     networks = tuple(networks)
     batches = tuple(batches)
-    if len(networks) > 1:
+    if len(networks) > 1 and "network" not in keys:
         axes.append(Axis("network", networks))
-    if len(batches) > 1:
+    if len(batches) > 1 and "batch" not in keys:
         axes.append(Axis("batch", batches))
     return grid(axes, network=networks[0], batch=batches[0], passes=passes,
                 dtype_bytes=dtype_bytes)

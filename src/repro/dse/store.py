@@ -26,7 +26,6 @@ instead of silently interleaving lines.
 from __future__ import annotations
 
 import json
-import math
 import os
 from typing import Dict, Iterator, Optional, Tuple
 
@@ -38,59 +37,8 @@ except ImportError:  # non-POSIX platform: advisory locking degrades to no-op
 #: field distinguishing a failure record from a metrics record.
 FAILURE_FIELD = "failure"
 
-#: insertion-ordered keys of the standard evaluation metrics dict (see
-#: ``repro.dse.batch.evaluate_points``) — the fast-serialization template
-#: below applies only to records of exactly this shape.
-_METRIC_KEYS = ("time_s", "throughput_tflops", "dram_gb", "l2_gb",
-                "resource_cost", "layers", "gemms", "bottlenecks")
-#: the numeric metric keys in sorted order — the splice order of the template.
-_NUMERIC_KEYS = tuple(sorted(_METRIC_KEYS[:-1]))
-#: the metrics dict as ``json.dumps(..., sort_keys=True)`` renders it.
-_METRICS_TEMPLATE = ('{"bottlenecks": {%s}, "dram_gb": %s, "gemms": %s, '
-                     '"l2_gb": %s, "layers": %s, "resource_cost": %s, '
-                     '"throughput_tflops": %s, "time_s": %s}')
-#: one C-level repr pass over all numeric values (template splice order).
-_NUMERIC_FMT = "\n".join(["%r"] * len(_NUMERIC_KEYS))
-#: every character ``repr`` of a plain int / finite float can produce, plus
-#: the ``\n`` separator above.  ``inf``/``nan``/``True``, numpy scalars
-#: (``np.float64(...)`` reprs), strings, containers all introduce other
-#: characters, so a whitelist scan catches anything json would spell
-#: differently (or reject).
-_NUMERIC_CHARS = frozenset("0123456789+-.e\n")
-#: bottleneck labels already checked to serialize as a plain quoted string.
-_SAFE_LABELS = set()
-
-
-def _metrics_json(record: Dict[str, object]) -> str:
-    """``json.dumps(record, sort_keys=True)``, fast-pathed for metrics dicts.
-
-    A standard metrics record is all finite numbers with a fixed key set;
-    ``repr`` of a Python int/finite float is byte-identical to json's number
-    serialization, so the record can be spliced into a template instead of
-    walked by the json encoder.  Anything shape- or type-unexpected falls
-    back to the real encoder.
-    """
-    if tuple(record) == _METRIC_KEYS:
-        rendered = _NUMERIC_FMT % tuple(map(record.__getitem__,
-                                            _NUMERIC_KEYS))
-        if _NUMERIC_CHARS.issuperset(rendered):
-            shares = record["bottlenecks"]
-            if type(shares) is dict:
-                parts = []
-                for label in sorted(shares):
-                    share = shares[label]
-                    if label not in _SAFE_LABELS:
-                        if (type(label) is not str
-                                or json.dumps(label) != '"%s"' % label):
-                            break
-                        _SAFE_LABELS.add(label)
-                    if type(share) is not float or not math.isfinite(share):
-                        break
-                    parts.append('"%s": %r' % (label, share))
-                else:
-                    return _METRICS_TEMPLATE % (
-                        (", ".join(parts),) + tuple(rendered.split("\n")))
-    return json.dumps(record, sort_keys=True)
+#: ``json.dumps(record, sort_keys=True)`` without the per-call encoder set-up.
+_metrics_json = json.JSONEncoder(sort_keys=True).encode
 
 
 def is_failure_record(record: Optional[Dict[str, object]]) -> bool:

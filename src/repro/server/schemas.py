@@ -31,7 +31,8 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from ..api.requests import (DseRequest, EstimateRequest, ExperimentRequest,
                             Request, SweepRequest, ValidateRequest)
-from ..dse.space import AXIS_KEYS, Axis, SearchSpace, default_space, grid
+from ..dse.space import (AXIS_KEYS, Axis, SearchSpace, default_space,
+                         space_from_axes)
 from ..experiments.registry import available_experiments
 from ..gpu.devices import get_device
 from ..networks.registry import available_networks
@@ -328,9 +329,8 @@ def _dse_space(body: Mapping[str, object], networks: Tuple[str, ...],
     """
     raw_axes = body.get("axes")
     if raw_axes is None:
-        space = default_space(networks=networks, batches=batches,
-                              passes=passes)
-        return space, {"axes": None}
+        return default_space(networks=networks, batches=batches,
+                             passes=passes), {"axes": None}
     if not isinstance(raw_axes, Mapping) or not raw_axes:
         raise BadRequest(
             f"{route}: field 'axes' must be a non-empty object mapping axis "
@@ -346,18 +346,13 @@ def _dse_space(body: Mapping[str, object], networks: Tuple[str, ...],
             axes.append(Axis(str(key).strip().lower(), tuple(values)))
         except (ValueError, TypeError) as exc:
             raise BadRequest(f"{route}: bad axis {key!r}: {exc}") from exc
-    keys = {ax.key for ax in axes}
-    if "network" in keys:
-        for ax in axes:
-            if ax.key == "network":
-                for name in ax.values:
-                    _check_network(name, route)
-    if len(networks) > 1 and "network" not in keys:
-        axes.append(Axis("network", networks))
-    if len(batches) > 1 and "batch" not in keys:
-        axes.append(Axis("batch", batches))
-    space = grid(axes, network=networks[0], batch=batches[0], passes=passes)
-    descriptor = {"axes": {ax.key: list(ax.values) for ax in axes}}
+    for ax in axes:
+        if ax.key == "network":
+            for name in ax.values:
+                _check_network(name, route)
+    space = space_from_axes(axes, networks=networks, batches=batches,
+                            passes=passes)
+    descriptor = {"axes": {ax.key: list(ax.values) for ax in space.axes}}
     return space, descriptor
 
 

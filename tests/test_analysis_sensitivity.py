@@ -8,6 +8,7 @@ from repro.analysis.sensitivity import (
     run_all_sweeps,
     run_sweep,
 )
+from repro.api import Session, use_session
 from repro.gpu import TITAN_XP
 from repro.sim.engine import SimulatorConfig
 
@@ -60,6 +61,18 @@ class TestSweeps:
         rows = sweep.rows()
         assert len(rows) == 2
         assert {"value", "l1_ratio", "l2_ratio", "dram_ratio"} <= set(rows[0])
+
+    def test_simulates_through_the_active_session(self):
+        with Session() as session, use_session(session):
+            sweep = run_sweep("batch", TITAN_XP, values=[2, 3],
+                              base=reference_layer(batch=2),
+                              simulator_config=FAST_SIM)
+            assert session.stats.sim_tasks == len(sweep.points) == 2
+            run_sweep("batch", TITAN_XP, values=[2, 3],
+                      base=reference_layer(batch=2),
+                      simulator_config=FAST_SIM)
+            assert session.stats.sim_tasks == 2
+            assert session.stats.sim_memo_hits == 2
 
     def test_run_all_sweeps_covers_default_parameters(self):
         tiny = {name: values[:1] for name, values in DEFAULT_SWEEPS.items()}

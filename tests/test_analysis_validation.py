@@ -10,9 +10,9 @@ from repro.analysis.validation import (
     ValidationConfig,
     select_layers,
     simulate_layer,
-    validate_gpu,
     validate_layer,
 )
+from repro.api import Session
 from repro.core.bottleneck import Bottleneck
 from repro.core.layer import ConvLayerConfig
 from repro.gpu import TITAN_XP
@@ -42,11 +42,15 @@ class TestLayerSelection:
 
 
 class TestValidateLayer:
+    LAYER = ConvLayerConfig.square("v", 2, in_channels=16, in_size=14,
+                                   out_channels=32, filter_size=3, padding=1)
+
+    def _record(self):
+        sim = simulate_layer(TITAN_XP, self.LAYER, SimulatorConfig(max_ctas=30))
+        return validate_layer("Toy", self.LAYER, TITAN_XP, sim)
+
     def test_record_fields_consistent(self):
-        layer = ConvLayerConfig.square("v", 2, in_channels=16, in_size=14,
-                                       out_channels=32, filter_size=3, padding=1)
-        record = validate_layer("Toy", layer, TITAN_XP,
-                                simulator_config=SimulatorConfig(max_ctas=30))
+        record = self._record()
         assert record.network == "Toy"
         assert set(record.model_traffic) == set(MEMORY_LEVELS)
         assert record.model_time > 0 and record.measured_time > 0
@@ -57,10 +61,7 @@ class TestValidateLayer:
         assert row["layer"] == "v" and row["gpu"] == TITAN_XP.name
 
     def test_ratios_are_finite_and_reasonable(self):
-        layer = ConvLayerConfig.square("v", 2, in_channels=16, in_size=14,
-                                       out_channels=32, filter_size=3, padding=1)
-        record = validate_layer("Toy", layer, TITAN_XP,
-                                simulator_config=SimulatorConfig(max_ctas=30))
+        record = self._record()
         for level in MEMORY_LEVELS:
             assert 0.1 < record.traffic_ratio(level) < 10.0
         assert 0.1 < record.time_ratio < 10.0
@@ -69,7 +70,8 @@ class TestValidateLayer:
 class TestValidateGpu:
     @pytest.fixture(scope="class")
     def report(self):
-        return validate_gpu(TITAN_XP, TINY_CONFIG)
+        with Session() as session:
+            return session.validation_report(TITAN_XP, TINY_CONFIG)
 
     def test_one_record_per_selected_layer(self, report):
         assert len(report.records) == len(select_layers(TINY_CONFIG))
@@ -89,13 +91,6 @@ class TestValidateGpu:
     def test_bottleneck_counts_cover_all_records(self, report):
         assert sum(report.bottleneck_counts().values()) == len(report.records)
 
-    def test_explicit_layer_population(self):
-        layer = ConvLayerConfig.square("only", 2, in_channels=8, in_size=14,
-                                       out_channels=16, filter_size=3, padding=1)
-        report = validate_gpu(TITAN_XP, TINY_CONFIG, layers=[("X", layer)])
-        assert len(report.records) == 1
-        assert report.records[0].layer.name == "only"
-
 
 def _record_key(record):
     return (record.network, record.layer.name,
@@ -105,8 +100,11 @@ def _record_key(record):
 
 class TestParallelValidation:
     def test_process_pool_matches_serial(self):
-        serial = validate_gpu(TITAN_XP, replace_jobs(TINY_CONFIG, 1))
-        parallel = validate_gpu(TITAN_XP, replace_jobs(TINY_CONFIG, 2))
+        with Session(jobs=1) as session:
+            serial = session.validation_report(TITAN_XP, TINY_CONFIG)
+        with Session(jobs=2) as session:
+            parallel = session.validation_report(TITAN_XP, TINY_CONFIG)
+            assert session.stats.pool_launches == 1
         assert ([_record_key(r) for r in serial.records]
                 == [_record_key(r) for r in parallel.records])
 
@@ -114,14 +112,6 @@ class TestParallelValidation:
         from repro.api import configure_default_session
         with pytest.raises(ValueError):
             configure_default_session(jobs=0)
-
-    def test_effective_jobs_defaults_to_serial(self):
-        assert ValidationConfig().effective_jobs >= 1
-
-
-def replace_jobs(config: ValidationConfig, jobs: int) -> ValidationConfig:
-    from dataclasses import replace
-    return replace(config, jobs=jobs)
 
 
 class TestSimulationDiskCache:
@@ -162,7 +152,8 @@ class TestSimulationDiskCache:
         assert len(os.listdir(tmp_path)) == 2
 
     def test_validate_gpu_uses_cache_dir(self, tmp_path):
-        from dataclasses import replace
-        config = replace(TINY_CONFIG, sim_cache_dir=str(tmp_path))
-        validate_gpu(TITAN_XP, config, layers=[("X", self.LAYER)])
-        assert len(os.listdir(tmp_path)) == 1
+        config = ValidationConfig(batch=4, max_ctas=30, layers_per_network=1,
+                                  networks=("alexnet",))
+        with Session(sim_cache_dir=str(tmp_path)) as session:
+            session.validation_report(TITAN_XP, config)
+        assert len(os.listdir(tmp_path)) == len(select_layers(config)) == 1

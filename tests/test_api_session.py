@@ -1,5 +1,7 @@
 """Tests for the session-based public API: Session, requests, batching."""
 
+import dataclasses
+import inspect
 
 import pytest
 
@@ -19,7 +21,6 @@ from repro.api import (
 )
 from repro.experiments import fig13_perf_titanxp
 from repro.gpu import TITAN_XP
-from repro.sim.engine import SimulatorConfig
 
 #: the tiny scale every simulation-backed test here runs at.
 TINY = dict(batch=4, max_ctas=40, layers_per_network=1)
@@ -37,15 +38,47 @@ class TestSessionPolicy:
         with pytest.raises(ValueError):
             Session(precision=-1)
 
-    def test_simulator_config_applies_overrides(self):
-        session = Session()
-        assert session.simulator_config() == SimulatorConfig()
-        assert session.simulator_config(max_ctas=7).max_ctas == 7
-
     def test_context_manager_closes_pool(self):
         with Session(jobs=2) as session:
             pass
         assert session._pool is None
+
+
+class TestSessionIsTheOnlyExecutor:
+    """Execution policy lives on the Session alone; no second pipeline."""
+
+    def test_second_validation_pipeline_is_gone(self):
+        import repro.analysis
+        from repro.analysis import validation
+        for name in ("validate_gpu", "simulate_population",
+                     "cached_validation"):
+            assert not hasattr(repro.analysis, name), name
+            assert not hasattr(validation, name), name
+
+    def test_validation_config_carries_no_execution_policy(self):
+        names = {field.name for field in dataclasses.fields(ValidationConfig)}
+        assert not names & {"jobs", "sim_cache_dir"}
+        for name in ("effective_jobs", "effective_sim_cache_dir"):
+            assert not hasattr(ValidationConfig, name), name
+
+    def test_no_per_call_jobs_or_cache_dir(self):
+        from repro.dse import explore
+        for func, removed in ((Session.simulate_many, {"jobs", "cache_dir"}),
+                              (Session.map_tasks, {"jobs"}),
+                              (Session._run_tasks, {"jobs"}),
+                              (explore, {"jobs"})):
+            params = set(inspect.signature(func).parameters)
+            assert not params & removed, (func.__name__, params & removed)
+
+    def test_no_simulator_config_wrappers(self):
+        assert not hasattr(Session, "simulator_config")
+        assert not hasattr(Session, "validation_sim_config")
+
+    def test_validate_layer_needs_a_sim_result(self):
+        from repro.analysis.validation import validate_layer
+        params = inspect.signature(validate_layer).parameters
+        assert "simulator_config" not in params
+        assert params["sim_result"].default is inspect.Parameter.empty
 
 
 class TestContextLocalSession:
@@ -56,9 +89,7 @@ class TestContextLocalSession:
         session = Session(jobs=2)
         with use_session(session):
             assert current_session() is session
-            assert ValidationConfig().effective_jobs == 2
         assert current_session() is not session
-        assert ValidationConfig().effective_jobs == 1
 
     def test_configure_default_session(self):
         configure_default_session(jobs=5, precision=4)
@@ -154,12 +185,6 @@ class TestBatchExecution:
             assert session.stats.pool_launches == 1
         assert [r.report_id for r in reports] == ["fig13", "fig19"]
 
-    def test_config_sim_cache_dir_honored_by_session_path(self, tmp_path):
-        config = ValidationConfig(sim_cache_dir=str(tmp_path), **TINY)
-        with Session() as session:
-            session.validation_report(TITAN_XP, config)
-        assert list(tmp_path.glob("delta-sim-*.json"))
-
     def test_fig17_sims_share_the_session_memo(self):
         request = ExperimentRequest("fig17", max_ctas=30,
                                     options={"sweeps": {"batch": [2]}})
@@ -178,14 +203,6 @@ class TestBatchExecution:
         with Session() as session:
             units = plan_simulation_units(session, [request])
         assert units and all(gpu is TESLA_V100 for gpu, _, _ in units)
-
-    def test_config_jobs_grows_the_shared_pool(self):
-        # ValidationConfig(jobs=N) must actually get N workers even when the
-        # session itself defaults to serial execution.
-        with Session() as session:
-            session.validation_report(TITAN_XP, ValidationConfig(jobs=2, **TINY))
-            assert session.stats.pool_launches == 1
-            assert session._pool_workers == 2
 
     def test_experiment_report_matches_legacy_run(self):
         request = ExperimentRequest("fig13", **TINY)

@@ -12,9 +12,9 @@ tie-breaks, same serialized bytes.  This suite pins that contract:
   linear (mlp) and batched-GEMM (bert-base) workloads, every pass kind,
   fp16 and fp32 — through ``evaluate_points`` vs the scalar
   ``evaluate_point`` oracle (``tests/oracles.py``);
-* the template-splicing serialization fast paths (``store_keys``,
-  ``_descriptor_json``, ``_metrics_json``, the batch path's pre-serialized
-  store lines) are byte-identical to the real ``json.dumps``;
+* the serialization fast paths (the template-splicing ``store_keys`` and
+  batch-path store lines, the store's ``_metrics_json`` encoder) are
+  byte-identical to the real ``json.dumps``;
 * the vectorized Pareto filter equals the scalar domination loop;
 * the fast grid enumeration equals the ``_point_from_values`` reference;
 * the scalar edge-case fixes that rode along (fp16 L1 streaming clamp,
@@ -41,7 +41,7 @@ from repro.core.l1 import _streaming_mli
 from repro.core.l2 import sliding_tile_unique_elements
 from repro.core.workload import Im2colPattern, lower_forward, lower_pass
 from repro.dse.batch import _assemble_group, evaluate_points
-from repro.dse.runner import _descriptor_json, store_key, store_keys
+from repro.dse.runner import store_key, store_keys
 from repro.dse.space import (DesignPoint, GridSpace, _point_from_values,
                              grid)
 from repro.dse.store import _metrics_json
@@ -226,14 +226,13 @@ def test_store_keys_and_descriptors_match_scalar_reference():
             assert key == store_key(TITAN_XP, point, unique)
             assert descriptor == json.dumps(point.descriptor(),
                                             sort_keys=True)
-            assert _descriptor_json(point) == descriptor
 
 
 def test_metrics_json_matches_json_dumps():
     points = _sample_points()[:6]
     for record in evaluate_points(TITAN_XP, points):
         assert _metrics_json(record) == json.dumps(record, sort_keys=True)
-    # shape/type oddities must fall back to the real encoder, not misrender.
+    # shape/type oddities must render exactly as json.dumps spells them.
     for record in (
             {"time_s": float("inf"), "throughput_tflops": 0.0},
             {"bottlenecks": {"MAC_BW": float("nan")}},
@@ -272,14 +271,30 @@ def _scalar_frontier(oriented):
                           st.integers(0, 5)),
                 min_size=1, max_size=120))
 def test_pareto_vectorized_matches_scalar_loop(rows):
-    # small integer grids force heavy duplication and tie-breaking, the
-    # hard cases for the sum-as-strictness trick.
+    # small integer grids force heavy duplication and tie-breaking.
     oriented = [tuple(float(v) for v in row) for row in rows]
     assert _pareto_frontier_vectorized(oriented) == _scalar_frontier(oriented)
 
 
+@pytest.mark.parametrize("oriented", [
+    # rows whose sums round equal although one dominates the other:
+    # a one-ulp improvement absorbed by the sum, (100, 1 + 2**-52).
+    [(100.0, 1.0000000000000002), (100.0, 1.0)],
+    [(1e17, 1.0), (1e17, 0.0)],
+    # infinite sums tie; inf - inf sums are NaN.
+    [(math.inf, 1.0), (math.inf, 0.0)],
+    [(math.inf, 0.0), (math.inf, -math.inf)],
+    # a rounding tie beside true duplicates and ordinary rows.
+    [(3.0, 3.0), (100.0, 1.0), (3.0, 3.0), (100.0, 1.0000000000000002),
+     (2.0, 2.0)],
+], ids=["ulp", "large-magnitude", "inf-tie", "nan-sum", "mixed"])
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_pareto_vectorized_exact_when_sums_round_together(oriented):
+    assert _pareto_frontier_vectorized(oriented) == _scalar_frontier(oriented)
+
+
 def test_pareto_frontier_dispatch_consistent_across_sizes():
-    """The >64-row vectorized dispatch returns what the scalar loop does."""
+    """``pareto_frontier`` on metric dicts returns what the scalar loop does."""
     objectives = resolve_objectives(("throughput", "dram", "cost"))
     rows = [{"throughput_tflops": float(t), "dram_gb": float(d),
              "resource_cost": float(c)}

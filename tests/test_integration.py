@@ -4,7 +4,8 @@ import pytest
 
 from repro import DeltaModel, TESLA_V100, TITAN_XP
 from repro.analysis.metrics import AccuracySummary
-from repro.analysis.validation import MEMORY_LEVELS, ValidationConfig, validate_gpu
+from repro.analysis.validation import MEMORY_LEVELS, ValidationConfig
+from repro.api import Session
 from repro.core.baselines import FixedMissRateTrafficModel
 from repro.core.bottleneck import Bottleneck
 from repro.dse import explore, space_from_options
@@ -18,7 +19,8 @@ class TestModelVsSimulatorEndToEnd:
     @pytest.fixture(scope="class")
     def report(self):
         config = ValidationConfig(batch=8, max_ctas=60, layers_per_network=2)
-        return validate_gpu(TITAN_XP, config)
+        with Session() as session:
+            return session.validation_report(TITAN_XP, config)
 
     def test_traffic_accuracy_within_small_factors(self, report):
         for level in MEMORY_LEVELS:
