@@ -11,14 +11,19 @@ throughput on the two paths that matter operationally:
   long-lived server).  This bounds the per-request dispatch + execution
   overhead.
 
-Emits ``BENCH_server.json`` so both trajectories are tracked across PRs.
+Emits ``BENCH_server.json`` so both trajectories are tracked across PRs,
+together with an informational (ungated) in-process ``resnet152_training_ms``:
+the median ``Session.run`` time of a resnet152 TITAN Xp batch-256 training
+estimate, 468 layer-passes of which each structurally unique one is
+evaluated once.
 """
 
 import http.client
 import json
+import statistics
 import time
 
-from repro.api import Session
+from repro.api import EstimateRequest, Session
 from repro.server import ServerThread, create_app
 
 from bench_utils import run_once, write_bench_summary
@@ -34,6 +39,11 @@ HIT_FLOOR_RPS = 50.0
 MISS_FLOOR_RPS = 5.0
 
 BODY = json.dumps({"network": "alexnet", "batch": 16, "unique": True})
+
+#: timed in-process runs of the resnet152 training estimate (after a warm-up).
+TRAINING_RUNS = 15
+TRAINING_REQUEST = EstimateRequest("resnet152", gpu="titanxp", batch=256,
+                                   passes="training")
 
 
 def _content(payload):
@@ -63,6 +73,19 @@ def _drive(host, port, count):
         return first
     finally:
         conn.close()
+
+
+def _resnet152_training_ms():
+    """Median in-process milliseconds of one resnet152 training estimate."""
+    with Session() as session:
+        report = session.run(TRAINING_REQUEST)
+        assert len(report.rows) == 468
+        times = []
+        for _ in range(TRAINING_RUNS):
+            start = time.perf_counter()
+            session.run(TRAINING_REQUEST)
+            times.append(time.perf_counter() - start)
+    return statistics.median(times) * 1e3
 
 
 def test_server_request_throughput(benchmark):
@@ -105,6 +128,7 @@ def test_server_request_throughput(benchmark):
         "miss_elapsed_s": miss_elapsed,
         "miss_requests_per_s": miss_rps,
         "miss_floor_rps": MISS_FLOOR_RPS,
+        "resnet152_training_ms": _resnet152_training_ms(),
     })
 
     assert hit_rps >= HIT_FLOOR_RPS, (

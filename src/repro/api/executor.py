@@ -20,12 +20,13 @@ import inspect
 import time
 from collections import Counter
 from dataclasses import replace
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Sequence
+from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
+                    Sequence)
 
 from ..analysis.validation import (MEMORY_LEVELS, QUICK_VALIDATION,
                                    ValidationConfig, select_layers)
 from ..core.model import DeltaModel
-from ..core.training import estimate_training_step
+from ..core.training import estimate_training_step, pass_rows
 from ..experiments.registry import ExperimentSpec, get_experiment_spec
 from ..gpu.devices import get_device
 from ..networks.registry import get_network
@@ -62,8 +63,8 @@ def execute(session: "Session", request: Request) -> Report:
             with obs_spans.trace("model.sweep",
                                  combinations=(len(request.gpus)
                                                * len(request.networks)
-                                               * len(request.batches))):
-                report = _run_sweep(session, request)
+                                               * len(request.batches))) as span:
+                report = _run_sweep(session, request, span)
         elif isinstance(request, ValidateRequest):
             report = _run_validate(session, request)
         elif isinstance(request, ExperimentRequest):
@@ -131,26 +132,9 @@ def _base_meta(session: "Session", request: Request) -> Dict[str, object]:
 # Estimate / sweep (pure model, no simulation)
 # ----------------------------------------------------------------------
 
-def _estimate_rows(model: DeltaModel, layers,
-                   pass_kinds=("forward",)) -> List[Dict[str, object]]:
-    single_forward = tuple(pass_kinds) == ("forward",)
-    rows = []
-    for layer in layers:
-        for pass_kind in pass_kinds:
-            estimate = model.estimate_pass(layer, pass_kind)
-            row: Dict[str, object] = {"layer": layer.name}
-            if not single_forward:
-                row["pass"] = pass_kind
-            row.update({
-                "time_ms": estimate.time_seconds * 1e3,
-                "bottleneck": estimate.bottleneck.value,
-                "TFLOP/s": estimate.throughput_tflops,
-                "L1_GB": estimate.traffic.l1_bytes / 1e9,
-                "L2_GB": estimate.traffic.l2_bytes / 1e9,
-                "DRAM_GB": estimate.traffic.dram_bytes / 1e9,
-            })
-            rows.append(row)
-    return rows
+def _unique_passes(records) -> int:
+    """Distinct estimates behind ``records`` (one per structural key)."""
+    return len({id(record.estimate) for record in records})
 
 
 def _run_estimate(session: "Session", request: EstimateRequest) -> Report:
@@ -162,11 +146,12 @@ def _run_estimate(session: "Session", request: EstimateRequest) -> Report:
     model = DeltaModel(gpu)
     pass_kinds = request.pass_kinds
     with obs_spans.trace("model.estimate", layers=len(layers),
-                         passes=request.passes):
+                         passes=request.passes) as span:
         if request.passes == "training":
             step = estimate_training_step(model, layers, batch=request.batch,
                                           passes=pass_kinds,
                                           name=network.name)
+            records = step.records
             rows = step.rows()
             bottlenecks = Counter(row["bottleneck"] for row in rows)
             summary = step.summary()
@@ -175,7 +160,9 @@ def _run_estimate(session: "Session", request: EstimateRequest) -> Report:
             title = (f"{network.name} training step on {gpu.name} "
                      f"(batch {request.batch})")
         else:
-            rows = _estimate_rows(model, layers, pass_kinds)
+            records = model.estimate_passes(layers, pass_kinds)
+            rows = pass_rows(records,
+                             with_pass=tuple(pass_kinds) != ("forward",))
             total_ms = sum(row["time_ms"] for row in rows)
             bottlenecks = Counter(row["bottleneck"] for row in rows)
             summary = {
@@ -188,6 +175,9 @@ def _run_estimate(session: "Session", request: EstimateRequest) -> Report:
             if request.passes != "forward":
                 title = (f"{network.name} {request.passes} pass on "
                          f"{gpu.name} (batch {request.batch})")
+        if span is not None:
+            span.attrs["layer_passes"] = len(records)
+            span.attrs["unique_passes"] = _unique_passes(records)
     meta = _base_meta(session, request)
     meta.update({"network": network.name, "gpu": gpu.name,
                  "batch": request.batch, "unique": request.unique,
@@ -197,7 +187,8 @@ def _run_estimate(session: "Session", request: EstimateRequest) -> Report:
                   rows=tuple(rows), summary=summary, meta=meta)
 
 
-def _run_sweep(session: "Session", request: SweepRequest) -> Report:
+def _run_sweep(session: "Session", request: SweepRequest,
+               span: Optional[obs_spans.Span]) -> Report:
     rows: List[Dict[str, object]] = []
     series: Dict[str, list] = {}
     pass_kinds = request.pass_kinds
@@ -205,6 +196,7 @@ def _run_sweep(session: "Session", request: SweepRequest) -> Report:
              else f"{request.passes} conv")
     combinations = (len(request.gpus) * len(request.networks)
                     * len(request.batches))
+    layer_passes = unique_passes = 0
     for gpu_name in request.gpus:
         gpu = get_device(gpu_name)
         model = DeltaModel(gpu)
@@ -220,7 +212,10 @@ def _run_sweep(session: "Session", request: SweepRequest) -> Report:
                         f"sweep at batch {batch}"
                         + (" in the paper subset" if request.paper_subset
                            else ""))
-                layer_rows = _estimate_rows(model, layers, pass_kinds)
+                records = model.estimate_passes(layers, pass_kinds)
+                layer_passes += len(records)
+                unique_passes += _unique_passes(records)
+                layer_rows = pass_rows(records)
                 total_ms = sum(row["time_ms"] for row in layer_rows)
                 bottlenecks = Counter(row["bottleneck"] for row in layer_rows)
                 row: Dict[str, object] = {
@@ -243,6 +238,9 @@ def _run_sweep(session: "Session", request: SweepRequest) -> Report:
                 emit_progress(stage="sweep", done=len(rows),
                               total=combinations, network=network.name,
                               gpu=gpu.name, batch=batch)
+    if span is not None:
+        span.attrs["layer_passes"] = layer_passes
+        span.attrs["unique_passes"] = unique_passes
     fastest = min(rows, key=lambda row: row["total_time_ms"])
     summary = {
         "combinations": len(rows),

@@ -17,12 +17,15 @@ cover the backward passes and whole training steps::
 
     step = model.estimate_training_step(alexnet(batch=256))
     print(step.total_time_seconds, step.time_by_pass)
+
+Whole networks go through :meth:`DeltaModel.estimate_passes`, which
+evaluates each structurally unique layer-pass once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Tuple, Union
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from ..gpu.spec import GpuSpec
 from .dram import DramModelOptions
@@ -31,7 +34,8 @@ from .l2 import L2ModelOptions
 from .layer import LayerConfig
 from .performance import ExecutionEstimate, PerformanceModel
 from .traffic import TrafficEstimate, TrafficModel
-from .training import TrainingStepEstimate, estimate_training_step
+from .training import (LayerPassEstimate, TrainingStepEstimate,
+                       estimate_training_step)
 from .workload import (TRAINING_PASSES, GemmWorkload, PassKind, lower_pass,
                        training_workloads)
 
@@ -86,6 +90,31 @@ class DeltaModel:
         """All three training-pass estimates of one layer, in pass order."""
         return [self.estimate(workload)
                 for workload in training_workloads(layer)]
+
+    def estimate_passes(self, layers: Iterable[LayerConfig],
+                        pass_kinds: Sequence[PassKind] = ("forward",)
+                        ) -> List[LayerPassEstimate]:
+        """One record per (layer, pass): layers outer, passes inner.
+
+        The model equations depend on a layer's shape, pass and dtype, never
+        on its name, so lowering, traffic and performance run once per
+        unique ``(layer.structural_key(), pass_kind)``; every duplicate
+        shares that key's frozen estimate under its own layer name.
+        """
+        performance = self.performance_model
+        unique: Dict[Tuple, ExecutionEstimate] = {}
+        records = []
+        for layer in layers:
+            shape = layer.structural_key()
+            for pass_kind in pass_kinds:
+                key = (shape, pass_kind)
+                estimate = unique.get(key)
+                if estimate is None:
+                    estimate = unique[key] = performance.estimate(
+                        lower_pass(layer, pass_kind))
+                records.append(LayerPassEstimate(layer.name, pass_kind,
+                                                 estimate))
+        return records
 
     def estimate_layers(self, layers: Iterable[Source]) -> List[ExecutionEstimate]:
         """Estimate every layer of a network (or any workload iterable)."""

@@ -11,11 +11,12 @@ network-level result the Session API and the ``training`` experiment report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Union
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Optional,
+                    Sequence, Tuple, TypeVar, Union)
 
 from .layer import LayerConfig
 from .performance import ExecutionEstimate
-from .workload import TRAINING_PASSES, PassKind, lower_pass
+from .workload import TRAINING_PASSES, PassKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..networks.base import ConvNetwork
@@ -23,6 +24,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 #: memory levels aggregated per pass.
 TRAFFIC_LEVELS: Tuple[str, ...] = ("l1", "l2", "dram")
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -69,8 +72,9 @@ class TrainingStepEstimate:
     def traffic_by_pass(self, level: str) -> Dict[str, float]:
         """Total traffic bytes at one memory level per pass."""
         totals: Dict[str, float] = {kind: 0.0 for kind in self.passes}
-        for record in self.records:
-            totals[record.pass_kind] += record.traffic_bytes(level)
+        for record, level_bytes in zip(self.records,
+                                       self._level_bytes(level)):
+            totals[record.pass_kind] += level_bytes
         return totals
 
     @property
@@ -78,7 +82,12 @@ class TrainingStepEstimate:
         return sum(record.time_seconds for record in self.records)
 
     def total_traffic_bytes(self, level: str) -> float:
-        return sum(record.traffic_bytes(level) for record in self.records)
+        return sum(self._level_bytes(level))
+
+    def _level_bytes(self, level: str) -> List[float]:
+        """Per-record traffic at ``level``, read once per shared estimate."""
+        return _per_estimate(
+            self.records, lambda estimate: estimate.traffic.level_bytes(level))
 
     @property
     def total_macs(self) -> int:
@@ -89,20 +98,7 @@ class TrainingStepEstimate:
     # ------------------------------------------------------------------
     def rows(self) -> List[Dict[str, object]]:
         """One row per (layer, pass) with time, bottleneck and traffic."""
-        rows: List[Dict[str, object]] = []
-        for record in self.records:
-            estimate = record.estimate
-            rows.append({
-                "layer": record.layer_name,
-                "pass": record.pass_kind,
-                "time_ms": record.time_seconds * 1e3,
-                "bottleneck": estimate.bottleneck.value,
-                "TFLOP/s": estimate.throughput_tflops,
-                "L1_GB": record.traffic_bytes("l1") / 1e9,
-                "L2_GB": record.traffic_bytes("l2") / 1e9,
-                "DRAM_GB": record.traffic_bytes("dram") / 1e9,
-            })
-        return rows
+        return pass_rows(self.records)
 
     def summary(self) -> Dict[str, object]:
         """Headline per-pass and total numbers."""
@@ -114,6 +110,51 @@ class TrainingStepEstimate:
         payload["total DRAM (GB)"] = self.total_traffic_bytes("dram") / 1e9
         payload["layer GEMMs"] = len(self.records)
         return payload
+
+
+def _per_estimate(records: Sequence[LayerPassEstimate],
+                 numbers: Callable[[ExecutionEstimate], T]) -> List[T]:
+    """``numbers(record.estimate)`` for every record, computed once per
+    estimate object: records of structurally equal layer-passes share one
+    estimate (:meth:`~repro.core.model.DeltaModel.estimate_passes`)."""
+    computed: Dict[int, T] = {}
+    values = []
+    for record in records:
+        estimate = record.estimate
+        value = computed.get(id(estimate))
+        if value is None:
+            value = computed[id(estimate)] = numbers(estimate)
+        values.append(value)
+    return values
+
+
+def _row_metrics(estimate: ExecutionEstimate) -> Dict[str, object]:
+    traffic = estimate.traffic
+    return {
+        "time_ms": estimate.time_seconds * 1e3,
+        "bottleneck": estimate.bottleneck.value,
+        "TFLOP/s": estimate.throughput_tflops,
+        "L1_GB": traffic.l1_bytes / 1e9,
+        "L2_GB": traffic.l2_bytes / 1e9,
+        "DRAM_GB": traffic.dram_bytes / 1e9,
+    }
+
+
+def pass_rows(records: Sequence[LayerPassEstimate],
+              with_pass: bool = True) -> List[Dict[str, object]]:
+    """One report row per record: ``layer`` (and ``pass``), then metrics.
+
+    The metric fragment is computed once per unique estimate and copied
+    under each layer's name.
+    """
+    rows = []
+    for record, metrics in zip(records, _per_estimate(records, _row_metrics)):
+        row: Dict[str, object] = {"layer": record.layer_name}
+        if with_pass:
+            row["pass"] = record.pass_kind
+        row.update(metrics)
+        rows.append(row)
+    return rows
 
 
 def estimate_training_step(model: "DeltaModel",
@@ -134,15 +175,7 @@ def estimate_training_step(model: "DeltaModel",
     layers = list(network)
     if not layers:
         raise ValueError("training step needs at least one layer")
-    records = []
-    for layer in layers:
-        for pass_kind in passes:
-            workload = lower_pass(layer, pass_kind)
-            records.append(LayerPassEstimate(
-                layer_name=layer.name,
-                pass_kind=pass_kind,
-                estimate=model.estimate(workload),
-            ))
+    records = model.estimate_passes(layers, passes)
     return TrainingStepEstimate(
         network=name,
         gpu=model.gpu.name,

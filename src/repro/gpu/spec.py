@@ -10,6 +10,7 @@ properties so the rest of the library never repeats unit conversions.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 
@@ -18,6 +19,15 @@ KIB = 1024
 MIB = 1024 * 1024
 FP32_BYTES = 4
 WARP_SIZE = 32
+
+
+def _scaled_int(value: int, multiplier: float) -> int:
+    """``int(round(value * multiplier))``; ``ValueError`` where the result
+    is not finite or overflows int64."""
+    scaled = value * multiplier
+    if not abs(scaled) < 2.0 ** 63:
+        raise ValueError("scaled GPU resource overflows int64")
+    return int(round(scaled))
 
 
 @dataclass(frozen=True)
@@ -131,7 +141,10 @@ class GpuSpec:
         Recognized keys: ``num_sm``, ``mac_bw``, ``regs``, ``smem_size``,
         ``smem_bw``, ``l1_bw``, ``l2_bw``, ``dram_bw``, ``l2_size``.
         Unknown keys raise ``ValueError`` so typos in design-option tables are
-        caught early.
+        caught early.  Like :meth:`repro.core.batched.BatchedGpuSpec.
+        from_options`, it also raises ``ValueError`` when a multiplier is not
+        finite and positive, or a scaled resource is not finite or overflows
+        int64.
         """
         known = {
             "num_sm", "mac_bw", "regs", "smem_size", "smem_bw",
@@ -140,20 +153,25 @@ class GpuSpec:
         unknown = set(multipliers) - known
         if unknown:
             raise ValueError(f"unknown scaling keys: {sorted(unknown)}")
+        for key, multiplier in multipliers.items():
+            if not (math.isfinite(multiplier) and multiplier > 0):
+                raise ValueError(f"scaling multiplier {key}={multiplier!r} "
+                                 "must be finite and positive")
 
         changes = {}
         num_sm_mult = multipliers.get("num_sm", 1.0)
         if num_sm_mult != 1.0:
-            changes["num_sm"] = max(1, int(round(self.num_sm * num_sm_mult)))
+            changes["num_sm"] = max(1, _scaled_int(self.num_sm, num_sm_mult))
         # MAC throughput scales with both per-SM MAC width and SM count.
         mac_mult = multipliers.get("mac_bw", 1.0) * num_sm_mult
         if mac_mult != 1.0:
             changes["fp32_flops"] = self.fp32_flops * mac_mult
         if "regs" in multipliers:
-            changes["register_file_bytes"] = int(
-                round(self.register_file_bytes * multipliers["regs"]))
+            changes["register_file_bytes"] = _scaled_int(
+                self.register_file_bytes, multipliers["regs"])
         if "smem_size" in multipliers:
-            changes["smem_bytes"] = int(round(self.smem_bytes * multipliers["smem_size"]))
+            changes["smem_bytes"] = _scaled_int(self.smem_bytes,
+                                                multipliers["smem_size"])
         if "smem_bw" in multipliers:
             changes["smem_st_bytes_per_cycle"] = (
                 self.smem_st_bytes_per_cycle * multipliers["smem_bw"])
@@ -166,7 +184,10 @@ class GpuSpec:
         if "dram_bw" in multipliers:
             changes["dram_bw"] = self.dram_bw * multipliers["dram_bw"]
         if "l2_size" in multipliers:
-            changes["l2_size"] = int(round(self.l2_size * multipliers["l2_size"]))
+            changes["l2_size"] = _scaled_int(self.l2_size,
+                                             multipliers["l2_size"])
+        if not all(math.isfinite(value) for value in changes.values()):
+            raise ValueError("scaled GPU resource is not finite")
         return dataclasses.replace(self, **changes)
 
     def with_name(self, name: str) -> "GpuSpec":

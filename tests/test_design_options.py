@@ -4,7 +4,12 @@ import dataclasses
 
 import pytest
 
+from repro.core.batched import BatchedGpuSpec
 from repro.gpu import PAPER_DESIGN_OPTIONS, TITAN_XP, DesignOption, get_design_option
+
+#: the multiplier fields a design option carries (all but ``cta_tile_hw``).
+MULTIPLIERS = ("num_sm", "mac_bw", "regs", "smem_size", "smem_bw", "l1_bw",
+               "l2_bw", "dram_bw")
 
 
 class TestDesignOptionTable:
@@ -128,3 +133,46 @@ class TestApplyInvariants:
     def test_scaled_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown scaling keys"):
             TITAN_XP.scaled(tensor_cores=2.0)
+
+
+def _rejection(build):
+    """``None`` when ``build()`` succeeds, else the exception it raised."""
+    try:
+        build()
+    except Exception as exc:  # noqa: BLE001 - the type is what is checked
+        return exc
+    return None
+
+
+class TestScaledDomainCheck:
+    """``GpuSpec.scaled`` and ``BatchedGpuSpec.from_options`` decide alike."""
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf"), 0.0, -1.0, 1e-300,
+                                       1e308],
+                             ids=["nan", "inf", "-inf", "0", "-1", "1e-300",
+                                  "1e308"])
+    @pytest.mark.parametrize("multiplier", MULTIPLIERS)
+    def test_scalar_and_batched_agree(self, multiplier, value):
+        scalar = _rejection(lambda: TITAN_XP.scaled(**{multiplier: value}))
+        option = DesignOption(name="edge", **{multiplier: value})
+        batched = _rejection(
+            lambda: BatchedGpuSpec.from_options(TITAN_XP, [option]))
+        assert (scalar is None) == (batched is None)
+        for rejected in (scalar, batched):
+            assert rejected is None or type(rejected) is ValueError
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_l2_size_rejects_out_of_domain(self, value):
+        with pytest.raises(ValueError, match="finite and positive"):
+            TITAN_XP.scaled(l2_size=value)
+
+    def test_overflowing_capacity_is_a_value_error(self):
+        with pytest.raises(ValueError, match="overflows int64"):
+            TITAN_XP.scaled(l2_size=1e308)
+        with pytest.raises(ValueError, match="overflows int64"):
+            TITAN_XP.scaled(num_sm=float(2 ** 62))
+
+    def test_overflowing_bandwidth_is_a_value_error(self):
+        with pytest.raises(ValueError, match="not finite"):
+            TITAN_XP.scaled(mac_bw=1e300, num_sm=1e10)
