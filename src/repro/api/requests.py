@@ -9,6 +9,7 @@ options hold arbitrary keyword arguments.)
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Tuple, Union
 
@@ -20,12 +21,35 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 Names = Union[str, Sequence[str]]
 
 
+def check_timeout(timeout: Optional[float]) -> Optional[float]:
+    """A wall-clock timeout in seconds: finite and positive, or ``None``."""
+    if timeout is None:
+        return None
+    try:
+        finite = math.isfinite(timeout)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not (finite and timeout > 0):
+        raise ValueError(
+            f"timeout must be finite and positive (or None), got {timeout!r}")
+    return float(timeout)
+
+
 def _check_policy(timeout: Optional[float], retries: Optional[int]) -> None:
     """Validate the optional per-request resilience-policy overrides."""
-    if timeout is not None and timeout <= 0:
-        raise ValueError("timeout must be positive (or None)")
+    check_timeout(timeout)
     if retries is not None and retries < 0:
         raise ValueError("retries must be non-negative (or None)")
+
+
+def _check_scale(max_ctas: Optional[int],
+                 layers_per_network: Optional[int]) -> None:
+    """Validation scale overrides are positive, or ``None`` for all."""
+    if max_ctas is not None and max_ctas <= 0:
+        raise ValueError("max_ctas must be positive (or None for all CTAs)")
+    if layers_per_network is not None and layers_per_network <= 0:
+        raise ValueError("layers_per_network must be positive "
+                         "(or None for all unique layers)")
 
 
 def _name_tuple(value: Optional[Names]) -> Optional[Tuple[str, ...]]:
@@ -115,6 +139,7 @@ class ValidateRequest:
         object.__setattr__(self, "networks", _name_tuple(self.networks))
         if self.batch <= 0:
             raise ValueError("batch must be positive")
+        _check_scale(self.max_ctas, self.layers_per_network)
         _check_policy(self.timeout, self.retries)
 
 
@@ -149,6 +174,7 @@ class ExperimentRequest:
         object.__setattr__(self, "options", dict(self.options))
         if self.batch is not None and self.batch <= 0:
             raise ValueError("batch must be positive")
+        _check_scale(self.max_ctas, self.layers_per_network)
         _check_policy(self.timeout, self.retries)
 
 

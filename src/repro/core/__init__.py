@@ -13,7 +13,6 @@ from .layer import (BatchedGemmLayerConfig, ConvLayerConfig, GemmShape,
                     LayerConfig, LinearLayerConfig)
 from .model import DeltaModel
 from .performance import ExecutionEstimate, PerformanceModel
-from .streams import StreamTimes, compute_stream_times
 from .training import (
     LayerPassEstimate,
     TrainingStepEstimate,
@@ -93,8 +92,6 @@ __all__ = [
     "filter_mli",
     "TrafficModel",
     "TrafficEstimate",
-    "StreamTimes",
-    "compute_stream_times",
     "PerformanceModel",
     "ExecutionEstimate",
     "DeltaModel",

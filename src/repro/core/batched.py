@@ -1,11 +1,13 @@
 """Batched (structure-of-arrays) evaluation of the DeLTA analytic model.
 
-The scalar pipeline in :mod:`repro.core.performance` evaluates one
-(GPU design, workload) pair per call; a design-space sweep therefore pays the
-full Python interpretation cost per point.  This module evaluates a *batch of
-GPU designs at once* as NumPy structure-of-arrays while keeping the scalar
-path as the bit-identical reference (the same contract the simulator's
-vectorized pipeline keeps with its scalar reference loop):
+This module holds the one production implementation of the performance
+equations (Eq. 11-18 plus prologue/epilogue): :func:`_performance_grid`
+evaluates a (W workloads x N GPU designs) grid in one set of NumPy array
+operations.  Every caller goes through it — DSE sweeps with N designs,
+:func:`repro.core.performance.estimate_workloads` (and hence every
+``PerformanceModel``/``DeltaModel`` estimate) with a single design.  The
+scalar reference implementation of the same equations lives with the tests
+(``tests/oracles.py``), which check this kernel against it bit for bit.
 
 * :class:`BatchedGpuSpec` holds one array per scaled :class:`GpuSpec`
   resource, with each element derived exactly the way
@@ -18,16 +20,14 @@ vectorized pipeline keeps with its scalar reference loop):
   ``l1_request_bytes`` and ``sector_bytes``, which :meth:`GpuSpec.scaled`
   never changes, so one scalar traffic estimate per (workload, tile family)
   covers every design in the batch.
-* :func:`estimate_grid` vectorizes the performance model (Eq. 11-18 plus
-  prologue/epilogue) over the full (workload x design) grid in one shot and
-  classifies the bottleneck of every cell.
+* :func:`estimate_grid` evaluates the full (workload x design) grid for a
+  design-space sweep, each design column under its own tile family.
 
-Bit-identity notes: every candidate time is computed with the exact same
-float64 operations *in the exact same order* as the scalar expressions, the
-candidate stacking order matches the scalar dict's insertion order (so
-``np.argmax``'s first-max tie-break equals ``max(dict, key=...)``'s), and
-integer quantization uses ``np.rint`` (round-half-even, same as Python's
-``round``).
+Bit-identity notes: every candidate time is computed with the float64
+operations of the scalar reference *in the same order*, the candidate order
+is :data:`CANDIDATE_ORDER` (so ``np.argmax``-style first-max tie-breaks equal
+the reference's ``max(dict)``), and integer quantization uses ``np.rint``
+(round-half-even, same as Python's ``round``).
 """
 
 from __future__ import annotations
@@ -44,9 +44,8 @@ from .bottleneck import Bottleneck
 from .traffic import TrafficEstimate, TrafficModel
 from .workload import GemmWorkload
 
-#: candidate stacking order — must match the insertion order of the scalar
-#: ``candidates`` dict in :meth:`PerformanceModel.estimate` so the batched
-#: first-max ``argmax`` ties break exactly like the scalar ``max(dict)``.
+#: candidate order of the kernel output and of ``ExecutionEstimate.candidates``;
+#: the first maximum in this order is the reported bottleneck.
 CANDIDATE_ORDER: Tuple[Bottleneck, ...] = (
     Bottleneck.MAC_BW,
     Bottleneck.SMEM_BW,
@@ -276,12 +275,15 @@ def build_stacks(traffic_grid: Sequence[Dict[int, TrafficEstimate]]
 
 
 def _performance_grid(gpus: BatchedGpuSpec, stack: WorkloadStack
-                      ) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized :meth:`PerformanceModel.estimate` over a (W, N) grid.
+                      ) -> Tuple[np.ndarray, np.ndarray, Tuple[np.ndarray, ...],
+                                 np.ndarray, np.ndarray]:
+    """The DeLTA performance model (Eq. 11-18) over a (W, N) grid.
 
-    Returns ``(times, bottleneck_index)``, both (W, N).  Each candidate
-    expression reproduces the scalar operation order exactly; see the module
-    docstring for the bit-identity contract.
+    Returns ``(times, bottleneck_index, candidates, active, ctas_per_sm)``:
+    the layer time, the index into :data:`CANDIDATE_ORDER` of the bounding
+    resource, the six candidate times in that order, the CTAs resident per
+    SM and the CTAs run by the most-loaded SM — every array (W, N).  See the
+    module docstring for the bit-identity contract with the reference.
     """
     base = gpus.base
     clock = base.core_clock_hz
@@ -343,15 +345,15 @@ def _performance_grid(gpus: BatchedGpuSpec, stack: WorkloadStack
         t_prologue + (bw_dram * loops + t_epilogue) * ctas_per_sm,
     )
     # Running max + descending first-match scan: equivalent to stacking and
-    # argmax-ing (first max wins on ties, like the scalar ``max(dict)``), but
-    # every pass is contiguous instead of strided across a stacked axis.
+    # argmax-ing (first max wins on ties, like the reference ``max(dict)``),
+    # but every pass is contiguous instead of strided across a stacked axis.
     times = candidates[0]
     for candidate in candidates[1:]:
         times = np.maximum(times, candidate)
     index = np.zeros(times.shape, dtype=np.int64)
     for i in range(len(candidates) - 1, -1, -1):
         index = np.where(candidates[i] == times, i, index)
-    return times, index
+    return times, index, candidates, active, ctas_per_sm
 
 
 def traffic_by_family(base_gpu: GpuSpec, workload: GemmWorkload
@@ -368,7 +370,7 @@ def traffic_by_family(base_gpu: GpuSpec, workload: GemmWorkload
 
 @dataclass(frozen=True)
 class BatchedEstimates:
-    """Batched counterpart of W scalar :class:`ExecutionEstimate` sweeps.
+    """(W, N) grid of estimates: W workloads on N designs.
 
     ``times``/``bottleneck_index``/traffic arrays are (W, N): one row per
     workload in evaluation order, one column per design of the
@@ -403,8 +405,9 @@ def estimate_grid(gpus: BatchedGpuSpec,
 
     ``traffic_grid`` holds, per workload, the scalar traffic estimates keyed
     by CTA-tile family (see :func:`traffic_by_family`); pass prebuilt
-    ``stacks`` instead to amortize the packing across batches.  Results are
-    bit-identical to W x N scalar :meth:`PerformanceModel.estimate` calls.
+    ``stacks`` instead to amortize the packing across batches.  Column ``j``
+    equals W single-design estimates on ``DesignOption.apply`` of design
+    ``j`` under its tile family, bit for bit.
     """
     if stacks is None:
         if traffic_grid is None:
@@ -417,7 +420,7 @@ def estimate_grid(gpus: BatchedGpuSpec,
     # yields bitwise the same values as computing it everywhere and
     # selecting afterwards — at half the array work for mixed batches.
     if num_256 == 0:
-        times, index = _performance_grid(gpus, stacks[128])
+        times, index = _performance_grid(gpus, stacks[128])[:2]
         dram, l2 = stacks[128].dram_bytes, stacks[128].l2_bytes
         shape = times.shape
         return BatchedEstimates(
@@ -426,7 +429,7 @@ def estimate_grid(gpus: BatchedGpuSpec,
             l2_bytes=np.broadcast_to(l2, shape),
             flops=stacks[128].flops)
     if num_256 == len(gpus):
-        times, index = _performance_grid(gpus, stacks[256])
+        times, index = _performance_grid(gpus, stacks[256])[:2]
         shape = times.shape
         return BatchedEstimates(
             times=times, bottleneck_index=index,
@@ -435,10 +438,12 @@ def estimate_grid(gpus: BatchedGpuSpec,
             flops=stacks[128].flops)
     idx_128 = np.nonzero(~cta256)[0]
     idx_256 = np.nonzero(cta256)[0]
+    # [:2] drops the candidate/occupancy grids at once: only the times
+    # and bottlenecks are reassembled.
     times_128, index_128 = _performance_grid(_take(gpus, idx_128),
-                                             stacks[128])
+                                             stacks[128])[:2]
     times_256, index_256 = _performance_grid(_take(gpus, idx_256),
-                                             stacks[256])
+                                             stacks[256])[:2]
     shape = (times_128.shape[0], len(gpus))
     times = np.empty(shape, dtype=times_128.dtype)
     times[:, idx_128] = times_128

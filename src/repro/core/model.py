@@ -19,7 +19,10 @@ cover the backward passes and whole training steps::
     print(step.total_time_seconds, step.time_by_pass)
 
 Whole networks go through :meth:`DeltaModel.estimate_passes`, which
-evaluates each structurally unique layer-pass once.
+evaluates each structurally unique layer-pass once.  Every multi-workload
+query lowers and runs traffic per workload, then evaluates the performance
+equations for the whole list in one batched-kernel call
+(:func:`~repro.core.performance.estimate_workloads`).
 """
 
 from __future__ import annotations
@@ -32,12 +35,13 @@ from .dram import DramModelOptions
 from .l1 import ReplicationMode
 from .l2 import L2ModelOptions
 from .layer import LayerConfig
-from .performance import ExecutionEstimate, PerformanceModel
+from .performance import (ExecutionEstimate, PerformanceModel,
+                          estimate_workloads)
 from .traffic import TrafficEstimate, TrafficModel
 from .training import (LayerPassEstimate, TrainingStepEstimate,
                        estimate_training_step)
-from .workload import (TRAINING_PASSES, GemmWorkload, PassKind, lower_pass,
-                       training_workloads)
+from .workload import (TRAINING_PASSES, GemmWorkload, PassKind, as_workload,
+                       lower_pass, training_workloads)
 
 Source = Union[LayerConfig, GemmWorkload]
 
@@ -88,8 +92,7 @@ class DeltaModel:
     def estimate_layer_training(self, layer: LayerConfig
                                 ) -> List[ExecutionEstimate]:
         """All three training-pass estimates of one layer, in pass order."""
-        return [self.estimate(workload)
-                for workload in training_workloads(layer)]
+        return self.estimate_layers(training_workloads(layer))
 
     def estimate_passes(self, layers: Iterable[LayerConfig],
                         pass_kinds: Sequence[PassKind] = ("forward",)
@@ -97,28 +100,34 @@ class DeltaModel:
         """One record per (layer, pass): layers outer, passes inner.
 
         The model equations depend on a layer's shape, pass and dtype, never
-        on its name, so lowering, traffic and performance run once per
-        unique ``(layer.structural_key(), pass_kind)``; every duplicate
-        shares that key's frozen estimate under its own layer name.
+        on its name, so lowering and traffic run once per unique
+        ``(layer.structural_key(), pass_kind)`` and one kernel call evaluates
+        the unique workloads; every duplicate shares that key's frozen
+        estimate under its own layer name.
         """
-        performance = self.performance_model
-        unique: Dict[Tuple, ExecutionEstimate] = {}
-        records = []
+        slots: Dict[Tuple, int] = {}
+        workloads = []
+        entries = []
         for layer in layers:
             shape = layer.structural_key()
             for pass_kind in pass_kinds:
                 key = (shape, pass_kind)
-                estimate = unique.get(key)
-                if estimate is None:
-                    estimate = unique[key] = performance.estimate(
-                        lower_pass(layer, pass_kind))
-                records.append(LayerPassEstimate(layer.name, pass_kind,
-                                                 estimate))
-        return records
+                slot = slots.get(key)
+                if slot is None:
+                    slot = slots[key] = len(workloads)
+                    workloads.append(lower_pass(layer, pass_kind))
+                entries.append((layer.name, pass_kind, slot))
+        estimates = self.estimate_layers(workloads)
+        return [LayerPassEstimate(name, pass_kind, estimates[slot])
+                for name, pass_kind, slot in entries]
 
     def estimate_layers(self, layers: Iterable[Source]) -> List[ExecutionEstimate]:
         """Estimate every layer of a network (or any workload iterable)."""
-        return [self.estimate(source) for source in layers]
+        traffic_model = self.traffic_model
+        workloads = [as_workload(source) for source in layers]
+        return estimate_workloads(self.gpu, [
+            (workload, traffic_model.estimate(workload))
+            for workload in workloads])
 
     def total_time(self, layers: Iterable[Source]) -> float:
         """Total predicted execution time (seconds) of a sequence of layers."""

@@ -20,19 +20,25 @@ Note on Eq. 14: the paper's printed equation uses ``blkM x blkN`` for the
 prologue volume; the prologue actually stages the *input* tiles
 (``(blkM + blkN) x blkK`` elements), which is what this implementation uses.
 The difference is negligible (the prologue is charged once per layer).
+
+The equations are implemented once, as the array kernel
+:func:`repro.core.batched._performance_grid`.  :func:`estimate_workloads`
+runs it for a list of workloads on one GPU in a single call and converts
+each row into an :class:`ExecutionEstimate` of plain Python numbers;
+:meth:`PerformanceModel.estimate` is that function on one workload.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from ..gpu.design_options import DesignOption
 from ..gpu.spec import GpuSpec
+from .batched import (CANDIDATE_ORDER, BatchedGpuSpec, WorkloadStack,
+                      _performance_grid)
 from .bottleneck import Bottleneck
-from .layer import ConvLayerConfig, LayerConfig
-from .streams import StreamTimes, compute_stream_times
-from .tiling import active_ctas_per_sm
+from .layer import LayerConfig
 from .traffic import TrafficEstimate, TrafficModel
 from .workload import GemmWorkload, as_workload
 
@@ -44,7 +50,6 @@ class ExecutionEstimate:
     workload: GemmWorkload
     gpu: GpuSpec
     traffic: TrafficEstimate
-    streams: StreamTimes
     #: execution time in seconds of the most-loaded SM (the layer's runtime).
     time_seconds: float
     #: the resource that bounds the execution time.
@@ -84,6 +89,31 @@ class ExecutionEstimate:
         return min(1.0, self.workload.flops / (self.time_seconds * peak))
 
 
+def estimate_workloads(gpu: GpuSpec,
+                       pairs: Sequence[Tuple[GemmWorkload, TrafficEstimate]]
+                       ) -> List[ExecutionEstimate]:
+    """Estimate W ``(workload, traffic)`` pairs on ``gpu`` in one kernel call.
+
+    ``gpu`` becomes a single-design batch (the identity design option) and
+    the traffic estimates one :class:`WorkloadStack`; the (W, 1) results are
+    read back with ``tolist`` so every field is a plain ``float``/``int``.
+    """
+    design = BatchedGpuSpec.from_options(gpu, [DesignOption(name=gpu.name)])
+    stack = WorkloadStack.from_traffic([traffic for _, traffic in pairs])
+    times, index, candidates, active, ctas_per_sm = _performance_grid(
+        design, stack)
+    rows = zip(pairs, times[:, 0].tolist(), index[:, 0].tolist(),
+               zip(*(candidate[:, 0].tolist() for candidate in candidates)),
+               active[:, 0].tolist(), ctas_per_sm[:, 0].tolist())
+    return [ExecutionEstimate(workload=workload, gpu=gpu, traffic=traffic,
+                              time_seconds=seconds,
+                              bottleneck=CANDIDATE_ORDER[bottleneck],
+                              candidates=dict(zip(CANDIDATE_ORDER, row)),
+                              active_ctas=resident, ctas_per_sm=per_sm)
+            for (workload, traffic), seconds, bottleneck, row, resident, per_sm
+            in rows]
+
+
 @dataclass(frozen=True)
 class PerformanceModel:
     """DeLTA's execution time and bottleneck model (Section V)."""
@@ -91,97 +121,11 @@ class PerformanceModel:
     gpu: GpuSpec
     traffic_model: Optional[TrafficModel] = None
 
-    def _traffic_model(self) -> TrafficModel:
-        return self.traffic_model or TrafficModel(gpu=self.gpu)
-
-    # ------------------------------------------------------------------
-    # Prologue / epilogue (Eq. 14, 15)
-    # ------------------------------------------------------------------
-    def _prologue_time(self, traffic: TrafficEstimate,
-                       streams: StreamTimes) -> float:
-        gpu = self.gpu
-        tile = traffic.grid.tile
-        dtype = traffic.workload.dtype_bytes
-        clock = gpu.core_clock_hz
-        input_bytes = tile.input_elements_per_loop * dtype
-        warp_load_bytes = ((tile.warp_m + tile.warp_n) * tile.blk_k
-                           * tile.num_warps * dtype)
-        dram_term = (gpu.lat_dram_cycles / clock
-                     + input_bytes / (gpu.dram_bw / gpu.num_sm))
-        smem_store_term = (gpu.lat_smem_cycles / clock
-                           + input_bytes / gpu.smem_st_bw_per_sm)
-        smem_load_term = warp_load_bytes / gpu.smem_ld_bw_per_sm
-        return dram_term + smem_store_term + smem_load_term
-
-    def _epilogue_time(self, traffic: TrafficEstimate,
-                       bottleneck_bw: Optional[float] = None) -> float:
-        tile = traffic.grid.tile
-        dtype = traffic.workload.dtype_bytes
-        output_bytes = tile.output_elements * dtype
-        bw = bottleneck_bw if bottleneck_bw is not None else self.gpu.dram_bw
-        return output_bytes / bw
-
-    # ------------------------------------------------------------------
-    # Main estimate
-    # ------------------------------------------------------------------
     def estimate(self, source: Union[LayerConfig, GemmWorkload],
                  traffic: Optional[TrafficEstimate] = None) -> ExecutionEstimate:
         """Predict execution time and bottleneck for one workload."""
-        gpu = self.gpu
         workload = as_workload(source)
         if traffic is None:
-            traffic = self._traffic_model().estimate(workload)
-        streams = compute_stream_times(traffic, gpu)
-        grid = traffic.grid
-        tile = grid.tile
-
-        loops = grid.main_loops_per_cta
-        num_ctas = grid.num_ctas
-        ctas_per_sm = math.ceil(num_ctas / gpu.num_sm)
-        active = min(active_ctas_per_sm(tile, gpu, workload.dtype_bytes),
-                     ctas_per_sm)
-
-        t_prologue = self._prologue_time(traffic, streams)
-        t_epilogue = self._epilogue_time(traffic)
-
-        candidates: Dict[Bottleneck, float] = {}
-
-        # Eq. 16 -- compute or shared-memory bound (cases 1 and 3).
-        t_cs_total = t_prologue + (streams.cs * loops + t_epilogue) * ctas_per_sm
-        t_sas_total = t_prologue + (streams.sas * loops + t_epilogue) * ctas_per_sm
-        candidates[Bottleneck.MAC_BW] = t_cs_total
-        candidates[Bottleneck.SMEM_BW] = t_sas_total
-
-        # Eq. 17 -- global load latency bound (case 2): each wave of active
-        # CTAs exposes a full tGLS per loop.
-        waves_per_sm = max(1.0, ctas_per_sm / active)
-        t_lat_total = (t_prologue
-                       + ((streams.gls + streams.compute_or_smem) * loops
-                          + t_epilogue) * waves_per_sm)
-        candidates[Bottleneck.DRAM_LAT] = t_lat_total
-
-        # Eq. 18 -- memory bandwidth bound (case 4), one per level.
-        level_bw = {
-            Bottleneck.L1_BW: (streams.l1_bw, gpu.l1_bw_per_sm),
-            Bottleneck.L2_BW: (streams.l2_bw, gpu.l2_bw),
-            Bottleneck.DRAM_BW: (streams.dram_bw, gpu.dram_bw),
-        }
-        for label, (per_loop, epilogue_bw) in level_bw.items():
-            t_epi = self._epilogue_time(traffic, bottleneck_bw=epilogue_bw)
-            candidates[label] = (t_prologue
-                                 + (per_loop * loops + t_epi) * ctas_per_sm)
-
-        bottleneck = max(candidates, key=lambda key: candidates[key])
-        time_seconds = candidates[bottleneck]
-
-        return ExecutionEstimate(
-            workload=workload,
-            gpu=gpu,
-            traffic=traffic,
-            streams=streams,
-            time_seconds=time_seconds,
-            bottleneck=bottleneck,
-            candidates=dict(candidates),
-            active_ctas=active,
-            ctas_per_sm=ctas_per_sm,
-        )
+            model = self.traffic_model or TrafficModel(gpu=self.gpu)
+            traffic = model.estimate(workload)
+        return estimate_workloads(self.gpu, [(workload, traffic)])[0]

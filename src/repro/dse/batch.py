@@ -3,12 +3,12 @@
 :func:`evaluate_points` is the DSE's only point evaluator: it groups design
 points by workload signature, lowers each workload's layers once, and
 evaluates the whole group through :mod:`repro.core.batched` in a handful of
-NumPy passes instead of one scalar pipeline walk per point.  The metrics
-dicts it returns are **bit-identical** to walking the scalar
-:class:`~repro.core.model.DeltaModel` over each point's layers — same float
-values, same key order, same bottleneck-share insertion order.  That scalar
-walk survives only as a test oracle, pinning content-keyed stores, the
-fig16 numbers and resumed sweeps.
+NumPy passes instead of one pipeline walk per point.  The metrics dicts it
+returns are **bit-identical** to walking each point's layers one by one with
+the scalar reference model — same float values, same key order, same
+bottleneck-share insertion order.  That walk survives only as a test oracle
+(``tests/oracles.py``), pinning content-keyed stores, the fig16 numbers and
+resumed sweeps.
 """
 
 from __future__ import annotations

@@ -8,9 +8,9 @@ requested objectives.
 
 Points are evaluated in chunks by the array-of-points path
 (:func:`repro.dse.batch.evaluate_points`), whose metrics are bit-identical to
-lowering each point through :meth:`DesignOption.apply` and walking the
-scalar :class:`~repro.core.model.DeltaModel` layer by layer — the Fig. 16
-scaling computation.  That scalar walk is kept only as a test oracle.
+lowering each point through :meth:`DesignOption.apply` and walking its
+layers one by one with the scalar reference model — the Fig. 16 scaling
+computation.  That walk is kept only as a test oracle (``tests/oracles.py``).
 Frontier points can optionally be *confirmed* against the trace-driven
 simulator (:func:`confirm_frontier`), keeping the expensive engine off the
 sweep's hot path.

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
@@ -103,7 +104,14 @@ def _float(body: Mapping[str, object], field: str,
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise BadRequest(f"{route}: field {field!r} must be a number, "
                          f"got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise BadRequest(f"{route}: field {field!r} must be a finite "
+                         f"number, got {value!r}")
+    return number
 
 
 def _job_flags(body: Mapping[str, object], route: str) -> Tuple[bool, bool]:

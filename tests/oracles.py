@@ -1,10 +1,18 @@
 """Scalar reference implementations the production paths are checked against.
 
+Production evaluates the performance equations (Eq. 11-18) only through the
+batched kernel :func:`repro.core.batched._performance_grid`.  The stream
+functions (:func:`gls_time`, :func:`sas_time`, :func:`cs_time`,
+:func:`bandwidth_times`, :func:`compute_stream_times`), the prologue /
+epilogue terms and :func:`scalar_estimate` are the original one-workload
+Python implementation of the same equations: the reference every oracle
+below evaluates through, so that no oracle runs through the code it checks.
+
 Production evaluates design points only through the batched
 :func:`repro.dse.batch.evaluate_points`.  :func:`evaluate_point` is the
-original per-point walk of the scalar :class:`~repro.core.model.DeltaModel`
-over a workload's layers; it uses public APIs only and is the oracle for the
-bit-identity tests (batched == scalar metrics, DSE store bytes, fig16).
+original per-point walk over a workload's layers with
+:func:`scalar_estimate`; it is the oracle for the bit-identity tests
+(batched == scalar metrics, DSE store bytes, fig16).
 
 Production ``estimate``, ``sweep`` and ``training`` evaluate each
 structurally unique layer-pass once (``DeltaModel.estimate_passes``) and
@@ -16,17 +24,203 @@ dedupe; the report contents must match them byte for byte.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.analysis.frontier import design_cost
 from repro.api import EstimateRequest, Report, Session
 from repro.api.executor import _base_meta
-from repro.core import (DeltaModel, LayerPassEstimate, TrainingStepEstimate,
-                        expand_passes, lower_pass)
+from repro.core import (Bottleneck, CtaTile, DeltaModel, ExecutionEstimate,
+                        GemmWorkload, LayerConfig, LayerPassEstimate,
+                        TrafficEstimate, TrainingStepEstimate,
+                        active_ctas_per_sm, as_workload, expand_passes,
+                        lower_pass)
 from repro.dse import DesignPoint
 from repro.gpu import FP32_BYTES, GpuSpec, get_device
 from repro.networks import get_network
+
+
+@dataclass(frozen=True)
+class StreamTimes:
+    """Per-main-loop execution time (seconds) of each stream and resource."""
+
+    #: global load stream (Eq. 11): latency + transfer of the slowest level.
+    gls: float
+    #: shared memory access stream (Eq. 12).
+    sas: float
+    #: compute stream (Eq. 13).
+    cs: float
+    #: pure transfer times per level, without pipeline latency (Eq. 18 inputs).
+    l1_bw: float
+    l2_bw: float
+    dram_bw: float
+    #: per-level load times including pipeline latency (Eq. 11 terms).
+    gls_l1: float
+    gls_l2: float
+    gls_dram: float
+
+    @property
+    def compute_or_smem(self) -> float:
+        """max(tCS, tSAS): the non-memory-system critical path per loop."""
+        return max(self.cs, self.sas)
+
+
+def gls_time(traffic: TrafficEstimate, gpu: GpuSpec) -> tuple:
+    """Eq. 11: per-loop global load time and its per-level components."""
+    clock = gpu.core_clock_hz
+    lat_l1 = gpu.lat_l1_cycles / clock
+    lat_l2 = gpu.lat_l2_cycles / clock
+    lat_dram = gpu.lat_dram_cycles / clock
+
+    l1_bw = gpu.l1_bw_per_sm
+    l2_bw_per_sm = gpu.l2_bw / gpu.num_sm
+    dram_bw_per_sm = gpu.dram_bw / gpu.num_sm
+
+    t_l1 = lat_l1 + traffic.l1_bytes_per_loop / l1_bw
+    t_l2 = lat_l2 + traffic.l2_bytes_per_loop / l2_bw_per_sm
+    t_dram = lat_dram + traffic.dram_bytes_per_loop / dram_bw_per_sm
+    return max(t_l1, t_l2, t_dram), t_l1, t_l2, t_dram
+
+
+def sas_time(tile: CtaTile, gpu: GpuSpec, dtype_bytes: int) -> float:
+    """Eq. 12: per-loop shared memory store + load time."""
+    store_bytes = (tile.blk_m + tile.blk_n) * tile.blk_k * dtype_bytes
+    load_bytes = ((tile.warp_m + tile.warp_n) * tile.blk_k
+                  * tile.num_warps * dtype_bytes)
+    return (store_bytes / gpu.smem_st_bw_per_sm
+            + load_bytes / gpu.smem_ld_bw_per_sm)
+
+
+def cs_time(tile: CtaTile, gpu: GpuSpec) -> float:
+    """Eq. 13: per-loop compute (MAC) time on one SM."""
+    macs = tile.macs_per_loop
+    macs_per_second_per_sm = gpu.macs_per_second / gpu.num_sm
+    return macs / macs_per_second_per_sm
+
+
+def bandwidth_times(traffic: TrafficEstimate, gpu: GpuSpec) -> tuple:
+    """Pure per-loop transfer times at L1 (per SM), L2 and DRAM (per-SM share)."""
+    t_l1 = traffic.l1_bytes_per_loop / gpu.l1_bw_per_sm
+    t_l2 = traffic.l2_bytes_per_loop / (gpu.l2_bw / gpu.num_sm)
+    t_dram = traffic.dram_bytes_per_loop / (gpu.dram_bw / gpu.num_sm)
+    return t_l1, t_l2, t_dram
+
+
+def compute_stream_times(traffic: TrafficEstimate, gpu: GpuSpec) -> StreamTimes:
+    """All per-main-loop stream times for one layer on one GPU."""
+    tile = traffic.grid.tile
+    dtype_bytes = traffic.workload.dtype_bytes
+    t_gls, gls_l1, gls_l2, gls_dram = gls_time(traffic, gpu)
+    t_sas = sas_time(tile, gpu, dtype_bytes)
+    t_cs = cs_time(tile, gpu)
+    bw_l1, bw_l2, bw_dram = bandwidth_times(traffic, gpu)
+    return StreamTimes(
+        gls=t_gls,
+        sas=t_sas,
+        cs=t_cs,
+        l1_bw=bw_l1,
+        l2_bw=bw_l2,
+        dram_bw=bw_dram,
+        gls_l1=gls_l1,
+        gls_l2=gls_l2,
+        gls_dram=gls_dram,
+    )
+
+
+def prologue_time(gpu: GpuSpec, traffic: TrafficEstimate) -> float:
+    """Eq. 14: DRAM fetch plus shared-memory staging of the first tiles."""
+    tile = traffic.grid.tile
+    dtype = traffic.workload.dtype_bytes
+    clock = gpu.core_clock_hz
+    input_bytes = tile.input_elements_per_loop * dtype
+    warp_load_bytes = ((tile.warp_m + tile.warp_n) * tile.blk_k
+                       * tile.num_warps * dtype)
+    dram_term = (gpu.lat_dram_cycles / clock
+                 + input_bytes / (gpu.dram_bw / gpu.num_sm))
+    smem_store_term = (gpu.lat_smem_cycles / clock
+                       + input_bytes / gpu.smem_st_bw_per_sm)
+    smem_load_term = warp_load_bytes / gpu.smem_ld_bw_per_sm
+    return dram_term + smem_store_term + smem_load_term
+
+
+def epilogue_time(gpu: GpuSpec, traffic: TrafficEstimate,
+                  bottleneck_bw: Optional[float] = None) -> float:
+    """Eq. 15: output tile write-back at ``bottleneck_bw`` (default DRAM)."""
+    tile = traffic.grid.tile
+    dtype = traffic.workload.dtype_bytes
+    output_bytes = tile.output_elements * dtype
+    bw = bottleneck_bw if bottleneck_bw is not None else gpu.dram_bw
+    return output_bytes / bw
+
+
+def scalar_estimate(gpu: GpuSpec, source: Union[LayerConfig, GemmWorkload],
+                    traffic: TrafficEstimate) -> ExecutionEstimate:
+    """Eq. 11-18 for one workload, one Python float at a time."""
+    workload = as_workload(source)
+    streams = compute_stream_times(traffic, gpu)
+    grid = traffic.grid
+    tile = grid.tile
+
+    loops = grid.main_loops_per_cta
+    num_ctas = grid.num_ctas
+    ctas_per_sm = math.ceil(num_ctas / gpu.num_sm)
+    active = min(active_ctas_per_sm(tile, gpu, workload.dtype_bytes),
+                 ctas_per_sm)
+
+    t_prologue = prologue_time(gpu, traffic)
+    t_epilogue = epilogue_time(gpu, traffic)
+
+    candidates: Dict[Bottleneck, float] = {}
+
+    # Eq. 16 -- compute or shared-memory bound (cases 1 and 3).
+    t_cs_total = t_prologue + (streams.cs * loops + t_epilogue) * ctas_per_sm
+    t_sas_total = t_prologue + (streams.sas * loops + t_epilogue) * ctas_per_sm
+    candidates[Bottleneck.MAC_BW] = t_cs_total
+    candidates[Bottleneck.SMEM_BW] = t_sas_total
+
+    # Eq. 17 -- global load latency bound (case 2): each wave of active
+    # CTAs exposes a full tGLS per loop.
+    waves_per_sm = max(1.0, ctas_per_sm / active)
+    t_lat_total = (t_prologue
+                   + ((streams.gls + streams.compute_or_smem) * loops
+                      + t_epilogue) * waves_per_sm)
+    candidates[Bottleneck.DRAM_LAT] = t_lat_total
+
+    # Eq. 18 -- memory bandwidth bound (case 4), one per level.
+    level_bw = {
+        Bottleneck.L1_BW: (streams.l1_bw, gpu.l1_bw_per_sm),
+        Bottleneck.L2_BW: (streams.l2_bw, gpu.l2_bw),
+        Bottleneck.DRAM_BW: (streams.dram_bw, gpu.dram_bw),
+    }
+    for label, (per_loop, epilogue_bw) in level_bw.items():
+        t_epi = epilogue_time(gpu, traffic, bottleneck_bw=epilogue_bw)
+        candidates[label] = (t_prologue
+                             + (per_loop * loops + t_epi) * ctas_per_sm)
+
+    bottleneck = max(candidates, key=lambda key: candidates[key])
+    time_seconds = candidates[bottleneck]
+
+    return ExecutionEstimate(
+        workload=workload,
+        gpu=gpu,
+        traffic=traffic,
+        time_seconds=time_seconds,
+        bottleneck=bottleneck,
+        candidates=dict(candidates),
+        active_ctas=active,
+        ctas_per_sm=ctas_per_sm,
+    )
+
+
+def model_estimate(model: DeltaModel,
+                   source: Union[LayerConfig, GemmWorkload]
+                   ) -> ExecutionEstimate:
+    """``model.estimate(source)`` through :func:`scalar_estimate`."""
+    workload = as_workload(source)
+    return scalar_estimate(model.gpu, workload,
+                           model.traffic_model.estimate(workload))
 
 
 def workload_layers(network: str, batch: int, dtype_bytes: int,
@@ -58,10 +252,11 @@ def evaluate_point(base_gpu: GpuSpec, point: DesignPoint, *,
     estimates = []
     for layer in layers:
         if pass_kinds == ("forward",):
-            estimates.append(model.estimate(layer))
+            estimates.append(model_estimate(model, layer))
         else:
             for pass_kind in pass_kinds:
-                estimates.append(model.estimate_pass(layer, pass_kind))
+                estimates.append(model_estimate(
+                    model, lower_pass(layer, pass_kind)))
     total = sum(est.time_seconds for est in estimates)
     shares: Counter = Counter()
     for est in estimates:
@@ -96,7 +291,7 @@ def estimate_rows(model: DeltaModel, layers,
     rows = []
     for layer in layers:
         for pass_kind in pass_kinds:
-            estimate = model.estimate_pass(layer, pass_kind)
+            estimate = model_estimate(model, lower_pass(layer, pass_kind))
             row: Dict[str, object] = {"layer": layer.name}
             if not single_forward:
                 row["pass"] = pass_kind
@@ -122,7 +317,7 @@ def training_step(model: DeltaModel, layers, batch: int = 0,
         for pass_kind in passes:
             records.append(LayerPassEstimate(
                 layer_name=layer.name, pass_kind=pass_kind,
-                estimate=model.estimate(lower_pass(layer, pass_kind))))
+                estimate=model_estimate(model, lower_pass(layer, pass_kind))))
     return TrainingStepEstimate(network=name or "custom", gpu=model.gpu.name,
                                 batch=batch or layers[0].batch,
                                 passes=tuple(passes), records=tuple(records))

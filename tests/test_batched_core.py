@@ -8,6 +8,9 @@ tie-breaks, same serialized bytes.  This suite pins that contract:
 * the 204 forward and 204 backward golden estimates are reproduced by the
   batched grid evaluator (one of the two CTA-tile family columns matches
   every golden entry exactly);
+* on that population, every field of the production ``ExecutionEstimate``
+  (candidate times, occupancy) equals the scalar ``scalar_estimate``
+  oracle's, as plain Python numbers;
 * a hypothesis property drives random design points — conv (alexnet),
   linear (mlp) and batched-GEMM (bert-base) workloads, every pass kind,
   fp16 and fp32 — through ``evaluate_points`` vs the scalar
@@ -30,13 +33,14 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from oracles import evaluate_point
+from oracles import evaluate_point, model_estimate
 
 from repro.analysis.frontier import (OBJECTIVES, _pareto_frontier_vectorized,
                                      pareto_frontier, resolve_objectives)
 from repro.core.batched import (BatchedGpuSpec, CANDIDATE_ORDER,
                                 estimate_grid, traffic_by_family)
 from repro.core.bottleneck import Bottleneck
+from repro.core.model import DeltaModel
 from repro.core.l1 import _streaming_mli
 from repro.core.l2 import sliding_tile_unique_elements
 from repro.core.workload import Im2colPattern, lower_forward, lower_pass
@@ -131,6 +135,31 @@ def test_golden_population_complete():
             backward.update(f"{stem}|{kind}" for kind in ("dgrad", "wgrad"))
     assert forward == set(GOLDEN_FORWARD)
     assert backward == set(GOLDEN_BACKWARD)
+
+
+@pytest.mark.parametrize("gpu_name,net_name", GOLDEN_CASES)
+def test_estimate_fields_match_scalar_oracle(gpu_name, net_name):
+    """The fields the goldens leave unpinned: all six candidate times (in
+    order), the occupancy counts and their Python types."""
+    model = DeltaModel(get_device(gpu_name))
+    layers = get_network(net_name, batch=32).unique_layers()
+    records = model.estimate_passes(layers, ("forward", "dgrad", "wgrad"))
+    assert len(records) == 3 * len(layers)
+    for record in records:
+        estimate = record.estimate
+        oracle = model_estimate(model, estimate.workload)
+        context = f"{gpu_name}|{net_name}/{record.layer_name}|{record.pass_kind}"
+        assert list(estimate.candidates.items()) == \
+            list(oracle.candidates.items()), context
+        assert all(type(value) is float
+                   for value in estimate.candidates.values()), context
+        assert type(estimate.time_seconds) is float, context
+        assert estimate.time_seconds == oracle.time_seconds, context
+        assert estimate.bottleneck is oracle.bottleneck, context
+        assert type(estimate.active_ctas) is int, context
+        assert type(estimate.ctas_per_sm) is int, context
+        assert estimate.active_ctas == oracle.active_ctas, context
+        assert estimate.ctas_per_sm == oracle.ctas_per_sm, context
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Estimate, sweep and training evaluate each unique layer-pass once.
 
-``DeltaModel.estimate_passes`` keys the scalar pipeline on
-``(layer.structural_key(), pass_kind)``; rows are then fanned back out under
-every layer name.  These tests pin that the deduped reports equal the
-per-(layer, pass) oracle loops in ``tests/oracles.py`` byte for byte, that
-the model runs exactly once per unique key, and that keys never alias
-layers that differ in dtype or layer family.
+``DeltaModel.estimate_passes`` keys lowering and traffic on
+``(layer.structural_key(), pass_kind)`` and evaluates the unique workloads in
+one ``estimate_workloads`` call; rows are then fanned back out under every
+layer name.  These tests pin that the deduped reports equal the
+per-(layer, pass) oracle loops in ``tests/oracles.py`` byte for byte, that a
+request makes one model call over exactly one workload per unique key, and
+that keys never alias layers that differ in dtype or layer family.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ import pytest
 
 from repro import TITAN_XP, DeltaModel
 from repro.api import EstimateRequest, Session, SweepRequest
-from repro.core import (ConvLayerConfig, LinearLayerConfig, PerformanceModel,
-                        TRAINING_PASSES, estimate_training_step)
+from repro.core import (ConvLayerConfig, LinearLayerConfig, TRAINING_PASSES,
+                        estimate_training_step)
+from repro.core import model as core_model
 from repro.gpu import get_device
 from repro.networks import ConvNetwork, get_network
 from repro.networks.registry import (available_networks, register_network,
@@ -36,15 +38,16 @@ def session():
 
 @pytest.fixture
 def performance_calls(monkeypatch):
-    """Count every ``PerformanceModel.estimate`` call."""
+    """The workload count of every ``estimate_workloads`` call the model
+    makes, in call order."""
     calls = []
-    original = PerformanceModel.estimate
+    original = core_model.estimate_workloads
 
-    def counting(self, source, traffic=None):
-        calls.append(source)
-        return original(self, source, traffic)
+    def counting(gpu, pairs):
+        calls.append(len(pairs))
+        return original(gpu, pairs)
 
-    monkeypatch.setattr(PerformanceModel, "estimate", counting)
+    monkeypatch.setattr(core_model, "estimate_workloads", counting)
     return calls
 
 
@@ -71,9 +74,10 @@ def _unique_keys(layers, pass_kinds):
 
 
 def _assert_matches_oracle(session, request, performance_calls=()):
-    """Run ``request``; returns its report and the model calls it made."""
+    """Run ``request``; returns its report and the workload count of each
+    model call it made."""
     report = session.run(request)
-    calls = len(performance_calls)
+    calls = list(performance_calls)
     expected = estimate_report(session, request)
     # row by row first: a failing diff of the whole JSON text is very slow
     assert len(report.rows) == len(expected.rows)
@@ -93,16 +97,33 @@ def test_estimate_report_matches_oracle(session, network, passes, unique):
         network, gpu="titanxp", batch=32, passes=passes, unique=unique))
 
 
+def _assert_one_call_per_request(session, performance_calls, network,
+                                 layers, passes):
+    request = EstimateRequest(network, batch=16, passes=passes)
+    report = session.run(request)
+    assert len(report.rows) == len(layers) * len(request.pass_kinds)
+    assert performance_calls == [len(_unique_keys(layers,
+                                                  request.pass_kinds))]
+
+
 @pytest.mark.parametrize("passes", PASSES)
 @pytest.mark.parametrize("network", available_networks())
 def test_model_runs_once_per_unique_key(session, performance_calls, network,
                                         passes):
-    request = EstimateRequest(network, batch=16, passes=passes)
     layers = get_network(network, batch=16).gemm_layers()
-    report = session.run(request)
-    assert len(report.rows) == len(layers) * len(request.pass_kinds)
-    assert len(performance_calls) == len(
-        _unique_keys(layers, request.pass_kinds))
+    _assert_one_call_per_request(session, performance_calls, network, layers,
+                                 passes)
+
+
+@pytest.mark.parametrize("passes", PASSES)
+@pytest.mark.parametrize("network", available_networks())
+def test_model_runs_once_per_unique_key_mixed_dtype(
+        session, performance_calls, custom_network, network, passes):
+    # fp16 twins of every layer: same shape, so only dtype tells keys apart.
+    layers = get_network(network, batch=16).gemm_layers()
+    layers = layers + [layer.with_dtype(2) for layer in layers]
+    _assert_one_call_per_request(session, performance_calls,
+                                 custom_network(layers), layers, passes)
 
 
 class TestHandBuiltNetworks:
@@ -116,7 +137,7 @@ class TestHandBuiltNetworks:
         report, calls = _assert_matches_oracle(
             session, EstimateRequest(name, batch=8, passes="training"),
             performance_calls)
-        assert calls == len(TRAINING_PASSES)
+        assert calls == [len(TRAINING_PASSES)]
         assert [row["layer"] for row in report.rows] == [
             layer.name for layer in layers for _ in TRAINING_PASSES]
         per_layer = [{key: value for key, value in row.items()
@@ -136,7 +157,7 @@ class TestHandBuiltNetworks:
             report, calls = _assert_matches_oracle(session, request,
                                                    performance_calls)
             assert report.rows[0]["L1_GB"] != report.rows[-1]["L1_GB"]
-            assert calls == 2 * len(request.pass_kinds)
+            assert calls == [2 * len(request.pass_kinds)]
 
     def test_conv_and_linear_keys_do_not_alias(
             self, session, performance_calls, custom_network):
@@ -153,7 +174,7 @@ class TestHandBuiltNetworks:
             session, EstimateRequest(name, batch=8, passes="training"),
             performance_calls)
         assert len(report.rows) == 6
-        assert calls == 6
+        assert calls == [6]
 
     def test_duplicates_share_one_frozen_estimate(self):
         layer = ConvLayerConfig.square("a", batch=4, in_channels=16,

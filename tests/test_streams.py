@@ -1,8 +1,13 @@
-"""Tests for the GEMM main-loop execution streams (Section V, Eq. 11-13)."""
+"""Tests for the GEMM main-loop execution streams (Section V, Eq. 11-13).
+
+The stream equations are checked on the scalar reference in
+``tests/oracles.py``, which the batched production kernel is in turn held to
+bit for bit.
+"""
 
 import pytest
+from oracles import bandwidth_times, compute_stream_times, cs_time, sas_time
 
-from repro.core.streams import bandwidth_times, compute_stream_times, cs_time, sas_time
 from repro.core.traffic import TrafficModel
 from repro.gpu import TESLA_V100, TITAN_XP
 
