@@ -15,7 +15,9 @@ import os
 import platform
 import socket
 import subprocess
-from typing import Dict
+import time
+from statistics import median
+from typing import Dict, Tuple
 
 import numpy
 
@@ -50,12 +52,44 @@ def _git_sha() -> str:
         return "unknown"
 
 
+def host_calibration() -> Tuple[float, float]:
+    """Host speed: a fixed pure-Python loop and a fixed numpy kernel (ms,
+    median of five).
+
+    The same two kernels as ``perfbench/run.py``'s ``host.calib_*``
+    figures, so a benchmark number that moves with them is host drift, not
+    a code change.
+    """
+    def python_loop():
+        total = 0
+        for i in range(200_000):
+            total += i * i % 7
+        return total
+
+    data = numpy.random.default_rng(0).random((256, 256))
+
+    def numpy_kernel():
+        return float((data @ data).sum() + numpy.sort(data, axis=None)[-1])
+
+    figures = []
+    for kernel in (python_loop, numpy_kernel):
+        samples = []
+        for _ in range(5):
+            start = time.perf_counter()
+            kernel()
+            samples.append((time.perf_counter() - start) * 1e3)
+        figures.append(median(samples))
+    return figures[0], figures[1]
+
+
 def run_metadata() -> Dict[str, object]:
     """Provenance block stamped into every benchmark summary.
 
-    Records when/where a BENCH_*.json came from, so committed numbers can be
-    compared across machines and revisions instead of being bare floats.
+    Records when/where a BENCH_*.json came from and how fast that host ran
+    the calibration kernels, so committed numbers can be compared across
+    machines and revisions instead of being bare floats.
     """
+    calib_python_ms, calib_numpy_ms = host_calibration()
     return {
         "generated_utc": datetime.datetime.now(datetime.timezone.utc)
         .strftime("%Y-%m-%dT%H:%M:%SZ"),
@@ -63,6 +97,8 @@ def run_metadata() -> Dict[str, object]:
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "git_sha": _git_sha(),
+        "calib_python_ms": calib_python_ms,
+        "calib_numpy_ms": calib_numpy_ms,
     }
 
 

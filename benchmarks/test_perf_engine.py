@@ -57,6 +57,7 @@ def test_engine_single_layer(benchmark):
         "elapsed_s": elapsed,
         "timing": "best of 3 runs",
         "budget_s": SEED_SECONDS / 10,
+        "gate_s": SEED_SECONDS / 10 * 1.25,
         "seed_engine_s": SEED_SECONDS,
         "speedup_vs_seed": SEED_SECONDS / elapsed if elapsed > 0 else None,
     })

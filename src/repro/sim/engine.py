@@ -14,14 +14,18 @@ while scheduling CTAs onto SMs in waves (:mod:`repro.sim.scheduler`).  The
 simulator is completely independent of the analytical equations, so comparing
 DeLTA's estimates against its measurements is a meaningful accuracy check.
 
-The hot path is vectorized end to end: tile traces are generated in batches
-and memoized per (CTA coordinate, K offset), every SM's L1 accesses of one
-main-loop iteration go through a single batched set-associative kernel, and
-the L1 miss stream is classified by the L2's batched LRU kernel, so per-loop
-work is a handful of array operations instead of per-sector Python calls.
-The original scalar loop survives as the private ``_run_reference`` method,
-a test oracle only: both produce bit-identical :class:`SimTraffic` results
-(see tests/test_sim_engine.py).
+The hot path is vectorized end to end.  Tile traces are generated in batches
+and memoized per (CTA coordinate, K offset).  Each wave's L1 stream (every
+SM's accesses, loop after loop) goes through one batched set-associative
+kernel in chunks of whole main-loop iterations, :data:`_WAVE_CHUNK_SECTORS`
+sectors at most, with cache state carried from chunk to chunk; each chunk's
+L1 miss stream then goes through the L2's batched LRU kernel in one call.
+Because an LRU stream splits into blocks anywhere without changing its hits,
+this classifies exactly what a per-loop replay would, and per-loop L2 and
+DRAM counts come back out by loop id for the per-loop timing recurrence.
+``tests/oracles.py`` holds the original per-sector loop over OrderedDict
+cache models; both give bit-identical :class:`SimTraffic` results (see
+tests/test_sim_engine.py).
 
 Even so, exact cache simulation of a full mini-batch-256 layer remains far
 more expensive than the analytical model, so the engine simulates a
@@ -44,7 +48,7 @@ from ..gpu.spec import GpuSpec
 from ..obs import spans as obs_spans
 from .cache import LruCache, SetAssociativeCache, SetAssociativeCacheBank
 from .dram import DramChannel
-from .im2col import GemmTraceGenerator, TileAccess
+from .im2col import GemmTraceGenerator
 from .scheduler import CtaScheduler, SchedulingOrder
 
 #: K offsets per batched trace-generation call (bounds peak lattice memory).
@@ -53,6 +57,26 @@ _K_CHUNK = 16
 #: dense sector->stamp maps beyond this many sectors fall back to the dict
 #: path of :class:`LruCache` (keeps L2 state memory bounded for huge layers).
 _MAX_DENSE_SECTORS = 1 << 25
+
+#: L1 sectors per cache-classification chunk of a wave (a chunk holds whole
+#: main-loop iterations; a single larger loop forms its own chunk).
+_WAVE_CHUNK_SECTORS = 1 << 19
+
+
+def _loop_chunks(sizes: List[int], budget: int) -> List[Tuple[int, int]]:
+    """Split loops into consecutive ``[lo, hi)`` runs of at most ``budget``
+    sectors each (at least one loop per run)."""
+    chunks = []
+    lo = 0
+    total = 0
+    for loop, size in enumerate(sizes):
+        if loop > lo and total + size > budget:
+            chunks.append((lo, loop))
+            lo, total = loop, 0
+        total += size
+    if sizes:
+        chunks.append((lo, len(sizes)))
+    return chunks
 
 
 @dataclass(frozen=True)
@@ -249,7 +273,6 @@ class ConvLayerSimulator:
         l1_requests = 0.0
         simulated_ctas = 0
         simulated_time = 0.0
-        empty = np.empty(0, dtype=np.int64)
 
         for wave_index, wave in enumerate(scheduler.waves()):
             if simulated_ctas >= budget:
@@ -287,51 +310,43 @@ class ConvLayerSimulator:
                     l1_bytes += float(fetch_total.sum())
                 l1_requests += float(requests_per_loop.sum())
 
-                # Per-loop (sm, sector-array) segment lists, resolved once.
-                loop_segments: List[List[Tuple[int, np.ndarray]]] = \
+                # Per-loop sector segments and owning SMs, resolved once.
+                loop_segments: List[List[np.ndarray]] = \
                     [[] for _ in range(num_loops)]
+                loop_owners: List[List[int]] = [[] for _ in range(num_loops)]
                 for sm in sms:
                     for cta_m, cta_n in per_sm[sm]:
                         for views in (a_tiles[cta_m][0], b_tiles[cta_n][0]):
                             for loop, piece in enumerate(views):
                                 if piece.size:
-                                    loop_segments[loop].append((sm, piece))
+                                    loop_segments[loop].append(piece)
+                                    loop_owners[loop].append(sm)
+                loop_sizes = [sum(piece.size for piece in segments)
+                              for segments in loop_segments]
 
+                # The wave's L1 stream goes through the bank in chunks of
+                # whole loops (cache state carries across chunks, so the
+                # hits equal a per-loop replay); per-loop L2 and DRAM counts
+                # come back out of the chunk by loop id.
                 wave_time = 0.0
-                for loop in range(num_loops):
-                    loop_l1_per_sm = {sm: float(sm_fetch[sm][loop])
-                                      for sm in sms}
-                    segments = [piece for _, piece in loop_segments[loop]]
-                    owners = [sm for sm, _ in loop_segments[loop]]
-                    lengths = [piece.size for piece in segments]
-
-                    if segments:
-                        sectors = np.concatenate(segments)
-                        owner_ids = np.repeat(
-                            np.asarray(owners, dtype=np.int64),
-                            np.asarray(lengths, dtype=np.int64))
-                        l1_hits = l1_bank.access_block(owner_ids, sectors)
-                        missed = sectors[~l1_hits]
-                    else:
-                        missed = empty
-                    loop_l2_total = float(missed.size * sector_bytes)
-                    l2_bytes += loop_l2_total
-
-                    if missed.size:
-                        l2_hits = l2_cache.access_block(missed)
-                        dram_missed = missed[~l2_hits]
-                    else:
-                        dram_missed = empty
-                    loop_dram_total = float(dram_missed.size * sector_bytes)
-                    b_misses = int(np.count_nonzero(
-                        dram_missed >= b_sector_boundary))
-                    dram_b_bytes += b_misses * sector_bytes
-                    dram_a_bytes += ((dram_missed.size - b_misses)
-                                     * sector_bytes)
-
-                    wave_time += self._loop_time(
-                        per_sm, loop_l1_per_sm, loop_l2_total,
-                        loop_dram_total, t_compute, dram)
+                for lo, hi in _loop_chunks(loop_sizes, _WAVE_CHUNK_SECTORS):
+                    counts = self._classify_chunk(
+                        l1_bank, l2_cache, b_sector_boundary,
+                        loop_segments[lo:hi], loop_owners[lo:hi],
+                        loop_sizes[lo:hi])
+                    for offset, (l2_n, dram_n, dram_b_n) in enumerate(
+                            counts.T.tolist()):
+                        loop = lo + offset
+                        loop_l1_per_sm = {sm: float(sm_fetch[sm][loop])
+                                          for sm in sms}
+                        loop_l2_total = float(l2_n * sector_bytes)
+                        l2_bytes += loop_l2_total
+                        loop_dram_total = float(dram_n * sector_bytes)
+                        dram_b_bytes += dram_b_n * sector_bytes
+                        dram_a_bytes += (dram_n - dram_b_n) * sector_bytes
+                        wave_time += self._loop_time(
+                            per_sm, loop_l1_per_sm, loop_l2_total,
+                            loop_dram_total, t_compute, dram)
             simulated_ctas += wave.num_ctas
             simulated_time += wave_time
 
@@ -355,135 +370,42 @@ class ConvLayerSimulator:
             pass_kind=workload.pass_kind,
         )
 
-    # ------------------------------------------------------------------
-    # Scalar reference pipeline (test oracle; run() never calls it)
-    # ------------------------------------------------------------------
-    def _run_reference(self, workload: GemmWorkload) -> SimResult:
-        """Original per-sector simulation loop, the oracle tests compare
-        :meth:`run` against.  It shares the timing and extrapolation
-        helpers with the vectorized pipeline."""
-        gpu = self.gpu
-        config = self.config
-        grid = build_grid(workload, tile_hw=config.cta_tile_hw)
-        tile = grid.tile
-        trace = GemmTraceGenerator(workload, tile, gpu)
-        scheduler = CtaScheduler(grid, gpu, order=config.scheduling,
-                                 dtype_bytes=workload.dtype_bytes)
+    @staticmethod
+    def _classify_chunk(l1_bank: SetAssociativeCacheBank,
+                        l2_cache: Union[LruCache, SetAssociativeCache],
+                        b_sector_boundary: int,
+                        segments: List[List[np.ndarray]],
+                        owners: List[List[int]],
+                        sizes: List[int]) -> np.ndarray:
+        """Run consecutive loops' L1 streams through L1 and L2 at once.
 
-        l1_caches = [SetAssociativeCache(gpu.l1_size, gpu.sector_bytes,
-                                         ways=config.l1_ways)
-                     for _ in range(gpu.num_sm)]
-        if config.l2_fully_associative:
-            l2_cache = LruCache(gpu.l2_size, gpu.sector_bytes)
-        else:
-            l2_cache = SetAssociativeCache(gpu.l2_size, gpu.sector_bytes,
-                                           ways=config.l2_ways)
-        dram = DramChannel(gpu)
-
-        b_sector_boundary = trace.layout.b_base // gpu.sector_bytes
-
-        # B tiles depend only on (cta_n, k_offset); memoize them.
-        b_tiles: Dict[Tuple[int, int], TileAccess] = {}
-
-        def b_tile(cta_n: int, k_offset: int) -> TileAccess:
-            key = (cta_n, k_offset)
-            if key not in b_tiles:
-                b_tiles[key] = trace.b_tile_access(cta_n, k_offset)
-            return b_tiles[key]
-
-        # A tiles depend only on (cta_m, k_offset); memoize them too (the
-        # same CTA row recurs both within and across waves under column
-        # scheduling).
-        a_tiles: Dict[Tuple[int, int], TileAccess] = {}
-
-        def a_tile(cta_m: int, k_offset: int) -> TileAccess:
-            key = (cta_m, k_offset)
-            if key not in a_tiles:
-                a_tiles[key] = trace.a_tile_access(cta_m, k_offset)
-            return a_tiles[key]
-
-        t_compute = self._compute_time_per_loop(workload, tile)
-
-        l1_bytes = 0.0
-        l2_bytes = 0.0
-        dram_a_bytes = 0.0
-        dram_b_bytes = 0.0
-        l1_requests = 0.0
-        simulated_ctas = 0
-        simulated_time = 0.0
-
-        k_offsets = [loop * tile.blk_k for loop in range(grid.main_loops_per_cta)]
-        budget = config.max_ctas if config.max_ctas is not None else grid.num_ctas
-
-        for wave in scheduler.waves():
-            if simulated_ctas >= budget:
-                break
-            per_sm = wave.per_sm()
-            wave_time = 0.0
-            for k_offset in k_offsets:
-                loop_l1_per_sm: Dict[int, float] = {}
-                loop_l2_total = 0.0
-                loop_dram_total = 0.0
-                for sm, ctas in per_sm.items():
-                    sm_l1_bytes = 0.0
-                    for cta_m, cta_n in ctas:
-                        a_access = a_tile(cta_m, k_offset)
-                        b_access = b_tile(cta_n, k_offset)
-                        l1_requests += (a_access.l1_requests
-                                        + b_access.l1_requests)
-                        cta_l1 = sum(access.fetch_bytes(config.l1_accounting,
-                                                        gpu.l1_request_bytes,
-                                                        gpu.sector_bytes)
-                                     for access in (a_access, b_access))
-                        sm_l1_bytes += cta_l1
-
-                        for sectors in (a_access.sectors, b_access.sectors):
-                            if sectors.size == 0:
-                                continue
-                            cache = l1_caches[sm]
-                            missed: List[int] = []
-                            for sector in sectors.tolist():
-                                if not cache.access(sector):
-                                    missed.append(sector)
-                            if not missed:
-                                continue
-                            loop_l2_total += len(missed) * gpu.sector_bytes
-                            for sector in missed:
-                                if not l2_cache.access(sector):
-                                    loop_dram_total += gpu.sector_bytes
-                                    if sector >= b_sector_boundary:
-                                        dram_b_bytes += gpu.sector_bytes
-                                    else:
-                                        dram_a_bytes += gpu.sector_bytes
-                    loop_l1_per_sm[sm] = sm_l1_bytes
-                    l1_bytes += sm_l1_bytes
-                l2_bytes += loop_l2_total
-
-                wave_time += self._loop_time(
-                    per_sm, loop_l1_per_sm, loop_l2_total, loop_dram_total,
-                    t_compute, dram)
-            simulated_ctas += wave.num_ctas
-            simulated_time += wave_time
-
-        dram.read(dram_a_bytes + dram_b_bytes)
-
-        scale = grid.num_ctas / max(1, simulated_ctas)
-        traffic = self._extrapolate_traffic(
-            workload, grid, scale,
-            l1_bytes, l2_bytes, dram_a_bytes, dram_b_bytes, l1_requests)
-        time_seconds = self._total_time(workload, grid, simulated_time, scale,
-                                        dram)
-
-        return SimResult(
-            layer=workload.layer,
-            gpu=self.gpu,
-            grid=grid,
-            traffic=traffic,
-            time_seconds=time_seconds,
-            simulated_ctas=simulated_ctas,
-            scale_factor=scale,
-            pass_kind=workload.pass_kind,
-        )
+        Returns a (3, loops) array of per-loop L2 accesses, DRAM reads and
+        B-operand DRAM reads, in sectors.
+        """
+        num_loops = len(sizes)
+        counts = np.zeros((3, num_loops), dtype=np.int64)
+        pieces = [piece for loop in segments for piece in loop]
+        if not pieces:
+            return counts
+        sectors = np.concatenate(pieces)
+        owner_ids = np.repeat(
+            np.asarray([sm for loop in owners for sm in loop], dtype=np.int64),
+            [piece.size for piece in pieces])
+        loop_ids = np.repeat(np.arange(num_loops), sizes)
+        l1_missed = ~l1_bank.access_block(owner_ids, sectors)
+        del owner_ids
+        missed = sectors[l1_missed]
+        missed_loops = loop_ids[l1_missed]
+        del sectors, loop_ids, l1_missed
+        counts[0] = np.bincount(missed_loops, minlength=num_loops)
+        if missed.size:
+            l2_missed = ~l2_cache.access_block(missed)
+            dram_loops = missed_loops[l2_missed]
+            counts[1] = np.bincount(dram_loops, minlength=num_loops)
+            counts[2] = np.bincount(
+                dram_loops[missed[l2_missed] >= b_sector_boundary],
+                minlength=num_loops)
+        return counts
 
     # ------------------------------------------------------------------
     # Timing helpers

@@ -77,16 +77,24 @@ class TileAccess:
         raise ValueError(f"unknown L1 accounting mode {accounting!r}")
 
 
-def _sorted_unique(values: np.ndarray) -> np.ndarray:
+def _sorted_unique(values: np.ndarray, kind: Optional[str] = None
+                   ) -> np.ndarray:
     """Sorted unique values via an explicit sort (faster than np.unique's
-    hash-based integer path for these small, heavily repeated key arrays)."""
+    hash-based integer path for these small, heavily repeated key arrays).
+    ``kind="stable"`` suits nearly sorted input."""
     if values.size == 0:
         return values.astype(np.int64, copy=True)
-    ordered = np.sort(values, kind="stable")
+    ordered = np.sort(values, kind=kind)
     keep = np.empty(ordered.size, dtype=bool)
     keep[0] = True
     keep[1:] = ordered[1:] != ordered[:-1]
     return ordered[keep]
+
+
+def _in_range(values: np.ndarray, bound: int) -> np.ndarray:
+    """``0 <= values < bound`` in one comparison (negatives wrap to huge
+    unsigned values)."""
+    return values.view(values.dtype.str.replace("i", "u")) < bound
 
 
 def _count_grouped_blocks(addresses: np.ndarray, group_ids: np.ndarray,
@@ -469,31 +477,30 @@ class GemmTraceGenerator:
         base_k, row_k, col_k, ok_k = self._operand_parts(operand, "k",
                                                          k_values)
 
-        # Outer combination over the (own axis, K axis) lattice.  Addresses
-        # stay in the narrow dtype; the key builder upcasts only if necessary.
+        # Outer combination over the (own axis, K axis) lattice, viewed as
+        # (coord, own, k_offset x blkK): every division/modulo stays on the
+        # per-axis vectors and the inner axis stays long.  Addresses stay in
+        # the narrow dtype.
         valid = ok_o[:, np.newaxis] & ok_k[np.newaxis, :]
         bounds = self._operand_bounds(operand)
         if bounds is not None:
             height, width = bounds
-            row = row_o[:, np.newaxis] + row_k[np.newaxis, :]
-            col = col_o[:, np.newaxis] + col_k[np.newaxis, :]
-            valid &= (row >= 0) & (row < height) & (col >= 0) & (col < width)
-        coord_dtype = base_o.dtype.type
-        addresses = np.where(
-            valid,
-            base_o[:, np.newaxis] + base_k[np.newaxis, :]
-            + coord_dtype(self._operand_base(operand)),
-            coord_dtype(INVALID_ADDRESS))
-
-        # (ncoords, blk_own, nk, blk_k) -> (ncoords, nk, blk_own, blk_k)
-        addresses = addresses.reshape(coords.size, blk_own,
-                                      k_offsets.size, blk_k) \
-            .transpose(0, 2, 1, 3).reshape(num_tiles, -1)
+            valid &= _in_range(row_o[:, np.newaxis] + row_k[np.newaxis, :],
+                               height)
+            valid &= _in_range(col_o[:, np.newaxis] + col_k[np.newaxis, :],
+                               width)
+        k_base = base_k + base_k.dtype.type(self._operand_base(operand))
+        addresses = base_o[:, np.newaxis] + k_base
         if operand == "a":
-            group_ids = self._a_group_ids().ravel()
+            group_ids = self._a_group_ids()
         else:
-            group_ids = np.arange(blk_own * blk_k) // WARP_SIZE
-        return self._build_access_batch(addresses, group_ids)
+            group_ids = (np.arange(blk_own * blk_k)
+                         // WARP_SIZE).reshape(blk_own, blk_k)
+        shape = (coords.size, blk_own, k_offsets.size * blk_k)
+        return self._build_access_batch(addresses.reshape(shape),
+                                        valid.reshape(shape), group_ids,
+                                        bound=int(base_o.max())
+                                        + int(k_base.max()))
 
     def a_tile_batch(self, cta_ms: Sequence[int],
                      k_offsets: Sequence[int]) -> "TileAccessBatch":
@@ -515,53 +522,57 @@ class GemmTraceGenerator:
         """Batched :meth:`b_tile_access` over many CTA columns at once."""
         return self.b_tile_batch(cta_ns, [k_offset]).tiles()
 
-    def _build_access_batch(self, addresses: np.ndarray,
-                            group_ids: np.ndarray) -> "TileAccessBatch":
-        """Coalescing counts and unique sectors for a (tiles, elements) batch.
+    def _build_access_batch(self, addresses: np.ndarray, valid: np.ndarray,
+                            group_ids: np.ndarray,
+                            bound: int) -> "TileAccessBatch":
+        """Coalescing counts and unique sectors for a batch of tiles.
 
-        ``group_ids`` is the shared per-element warp-group row (identical for
-        every tile of the batch).  Tiles are folded into the dedup keys so one
-        sort covers the whole batch; per-tile counts fall out of a
-        ``bincount`` and per-tile sector arrays out of run boundaries in the
-        sorted unique keys.  Invalid (predicated-off) accesses are mapped to
-        negative sentinel keys and dropped after the sort, avoiding any
-        boolean-mask gathers over the full lattice.
+        ``addresses`` and ``valid`` are (coords, own, k_offsets x blkK)
+        lattices: tile ``c * k_offsets + k`` is the ``blkK`` column block
+        ``k`` of coordinate ``c``, and ``valid`` masks the accesses that are
+        not predicated off (the array is consumed; other addresses are
+        ignored).  ``group_ids`` is the (own, blkK) warp-group map shared by
+        every tile, and ``bound`` is at least every valid address.  Tiles
+        are folded into the dedup keys so one sort covers the whole batch;
+        per-tile counts fall out of a ``bincount`` and per-tile sector
+        arrays out of run boundaries in the sorted unique keys.
         """
         gpu = self.gpu
-        num_tiles = addresses.shape[0]
-        valid = addresses != INVALID_ADDRESS
-        elements = np.count_nonzero(valid, axis=1)
-        num_invalid = addresses.size - int(elements.sum())
-
-        groups = np.asarray(group_ids, dtype=np.int64)[np.newaxis, :]
-        group_span = int(groups.max()) + 1 if groups.size else 1
-
-        def dedup(keys: np.ndarray) -> np.ndarray:
-            """Sorted unique valid keys (drops the negative sentinel run)."""
-            keys = np.where(valid, keys, -1)
-            keys = np.sort(keys, axis=None)[num_invalid:]
-            if keys.size == 0:
-                return keys
-            keep = np.empty(keys.size, dtype=bool)
-            keep[0] = True
-            keep[1:] = keys[1:] != keys[:-1]
-            return keys[keep]
+        num_coords, blk_own, width = addresses.shape
+        blk_k = group_ids.shape[1]
+        num_k = width // blk_k
+        num_tiles = num_coords * num_k
+        elements = valid.view(np.uint8).sum(axis=1, dtype=np.int64) \
+            .reshape(num_tiles, blk_k).sum(axis=1)
+        group_span = int(group_ids.max()) + 1
 
         # Sectors: one sorted pass over the lattice yields the per-warp
         # sector count (tile, group, sector triples), the unique tile sector
         # lists, and — because L1 request blocks are whole multiples of
-        # sectors — the coalesced L1 request count as well.  Keys are built
-        # in int32 whenever the combined span fits (int32 sorts are ~2x
-        # faster than int64 ones).
-        sector_values = addresses // gpu.sector_bytes
-        sector_span = int(sector_values.max()) + 1 if sector_values.size else 1
+        # sectors (GpuSpec checks it) — the coalesced L1 request count as
+        # well.  Keys are built in place, in int32 whenever the combined
+        # span fits (int32 sorts are ~2x faster than int64 ones).  The
+        # sector span is a whole number of request blocks that bounds every
+        # address (the per-axis maxima bound their sums).
+        ratio = gpu.l1_request_bytes // gpu.sector_bytes
+        sector_span = (max(bound, 0) // gpu.l1_request_bytes + 1) * ratio
         key_dtype = (np.int32 if num_tiles * sector_span * group_span
                      < np.iinfo(np.int32).max else np.int64)
-        tile_base = np.arange(num_tiles, dtype=key_dtype)[:, np.newaxis]
-        triple_keys = dedup(
-            (tile_base * sector_span
-             + sector_values.astype(key_dtype, copy=False))
-            * group_span + groups.astype(key_dtype))
+        keys = (addresses // gpu.sector_bytes).astype(key_dtype, copy=False)
+        keys *= group_span
+        keys += np.tile(group_ids, num_k).astype(key_dtype)
+        tile_ids = (np.arange(num_coords)[:, np.newaxis] * num_k
+                    + np.arange(width) // blk_k)
+        keys += (tile_ids * (sector_span * group_span)).astype(
+            key_dtype)[:, np.newaxis, :]
+        # A valid entry whose own-axis neighbour (the previous row of the
+        # same tile) is valid with the same key repeats a triple that is
+        # kept, so it is dropped before the sort.
+        repeats = (keys[:, 1:, :] == keys[:, :-1, :]) & valid[:, :-1, :]
+        np.greater(valid[:, 1:, :], repeats, out=valid[:, 1:, :])
+        del repeats
+        triple_keys = _sorted_unique(keys[valid])
+        del keys, valid
         pair_keys = triple_keys // group_span
         warp_sectors = np.bincount(pair_keys // sector_span,
                                    minlength=num_tiles)
@@ -573,27 +584,18 @@ class GemmTraceGenerator:
         unique_tile = unique_pairs // sector_span
         offsets = np.searchsorted(unique_tile, np.arange(num_tiles + 1))
 
-        # L1 requests: unique (tile, warp group, request block) — derived
-        # from the deduplicated sector triples when the request size is a
-        # multiple of the sector size (it always is on real devices).
-        if gpu.l1_request_bytes % gpu.sector_bytes == 0:
-            ratio = gpu.l1_request_bytes // gpu.sector_bytes
-            t_tile = triple_keys // (sector_span * group_span)
-            t_group = triple_keys % group_span
-            t_block = (triple_keys // group_span) % sector_span // ratio
-            block_span = sector_span // ratio + 1
+        # L1 requests: unique (tile, request block, warp group) triples.
+        # Rounding each sector triple down to its block's first sector
+        # leaves the keys sorted but for runs within one block, which a
+        # stable sort mends in near-linear time.
+        if ratio == 1:
+            requests = warp_sectors
+        else:
             request_keys = _sorted_unique(
-                (t_tile * group_span + t_group) * block_span + t_block)
-        else:  # pragma: no cover - no current GpuSpec hits this
-            request_blocks = (addresses // gpu.l1_request_bytes) \
-                .astype(np.int64, copy=False)
-            block_span = (int(request_blocks.max()) + 1
-                          if request_blocks.size else 1)
-            request_keys = dedup(
-                (tile_base.astype(np.int64) * group_span + groups)
-                * block_span + request_blocks)
-        requests = np.bincount(request_keys // (group_span * block_span),
-                               minlength=num_tiles)
+                triple_keys - (pair_keys % ratio) * group_span, "stable")
+            requests = np.bincount(
+                request_keys // (sector_span * group_span),
+                minlength=num_tiles)
 
         return TileAccessBatch(
             l1_requests=requests,

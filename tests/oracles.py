@@ -20,14 +20,21 @@ copy its metrics under every layer name.  :func:`estimate_rows`,
 :func:`training_step`, :func:`training_rows`, :func:`training_summary` and
 :func:`estimate_report` are the original per-(layer, pass) loops, with no
 dedupe; the report contents must match them byte for byte.
+
+The simulator classifies cache accesses only through the batched
+stack-distance kernels of :mod:`repro.sim.cache`, a whole chunk of a wave
+per call.  :class:`LruModel` and :class:`SetAssocModel` are independent
+OrderedDict models of LRU replacement, and :func:`reference_simulate` is the
+original per-sector simulation loop driven by them; ``SimTraffic`` and
+``time_seconds`` must match it bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.frontier import design_cost
 from repro.api import EstimateRequest, Report, Session
@@ -35,11 +42,15 @@ from repro.api.executor import _base_meta
 from repro.core import (Bottleneck, CtaTile, DeltaModel, ExecutionEstimate,
                         GemmWorkload, LayerConfig, LayerPassEstimate,
                         TrafficEstimate, TrainingStepEstimate,
-                        active_ctas_per_sm, as_workload, expand_passes,
-                        lower_pass)
+                        active_ctas_per_sm, as_workload, build_grid,
+                        expand_passes, lower_pass)
 from repro.dse import DesignPoint
 from repro.gpu import FP32_BYTES, GpuSpec, get_device
 from repro.networks import get_network
+from repro.sim.dram import DramChannel
+from repro.sim.engine import ConvLayerSimulator, SimResult, SimulatorConfig
+from repro.sim.im2col import GemmTraceGenerator, TileAccess
+from repro.sim.scheduler import CtaScheduler
 
 
 @dataclass(frozen=True)
@@ -396,3 +407,149 @@ def estimate_report(session: Session, request: EstimateRequest) -> Report:
                  "passes": request.passes})
     return Report(kind="estimate", title=title, rows=tuple(rows),
                   summary=summary, meta=meta)
+
+
+class LruModel:
+    """Independent OrderedDict model of fully associative LRU."""
+
+    def __init__(self, capacity_sectors: int) -> None:
+        self.capacity = capacity_sectors
+        self.entries: "OrderedDict[int, None]" = OrderedDict()
+
+    def access(self, sector: int) -> bool:
+        if sector in self.entries:
+            self.entries.move_to_end(sector)
+            return True
+        self.entries[sector] = None
+        if len(self.entries) > self.capacity:
+            self.entries.popitem(last=False)
+        return False
+
+
+class SetAssocModel:
+    """Independent OrderedDict model of set-indexed LRU."""
+
+    def __init__(self, num_sets: int, ways: int) -> None:
+        self.num_sets = num_sets
+        self.ways = ways
+        self.sets = [OrderedDict() for _ in range(num_sets)]
+
+    @classmethod
+    def for_capacity(cls, capacity_bytes: int, sector_bytes: int,
+                     ways: int) -> "SetAssocModel":
+        """The geometry of a ``capacity_bytes`` cache with ``ways`` ways
+        (ways capped at the sector count, at least one set)."""
+        total_sectors = max(1, capacity_bytes // sector_bytes)
+        ways = min(ways, total_sectors)
+        return cls(max(1, total_sectors // ways), ways)
+
+    def access(self, sector: int) -> bool:
+        entries = self.sets[sector % self.num_sets]
+        if sector in entries:
+            entries.move_to_end(sector)
+            return True
+        entries[sector] = None
+        if len(entries) > self.ways:
+            entries.popitem(last=False)
+        return False
+
+
+def reference_simulate(gpu: GpuSpec, config: SimulatorConfig,
+                       workload: GemmWorkload) -> SimResult:
+    """The original per-sector simulation loop, one cache access at a time.
+
+    Tiles come from the scalar per-tile trace methods and every access goes
+    through the OrderedDict cache models; the timing and extrapolation
+    helpers are the simulator's own.
+    """
+    sim = ConvLayerSimulator(gpu, config)
+    grid = build_grid(workload, tile_hw=config.cta_tile_hw)
+    tile = grid.tile
+    trace = GemmTraceGenerator(workload, tile, gpu)
+    scheduler = CtaScheduler(grid, gpu, order=config.scheduling,
+                             dtype_bytes=workload.dtype_bytes)
+    sector_bytes = gpu.sector_bytes
+
+    l1_caches = [SetAssocModel.for_capacity(gpu.l1_size, sector_bytes,
+                                            config.l1_ways)
+                 for _ in range(gpu.num_sm)]
+    if config.l2_fully_associative:
+        l2_cache = LruModel(max(1, gpu.l2_size // sector_bytes))
+    else:
+        l2_cache = SetAssocModel.for_capacity(gpu.l2_size, sector_bytes,
+                                              config.l2_ways)
+    dram = DramChannel(gpu)
+    b_sector_boundary = trace.layout.b_base // sector_bytes
+
+    # A tiles depend only on (cta_m, k_offset) and B tiles only on
+    # (cta_n, k_offset); memoize both.
+    tiles: Dict[Tuple[str, int, int], TileAccess] = {}
+
+    def tile_access(operand: str, coord: int, k_offset: int) -> TileAccess:
+        key = (operand, coord, k_offset)
+        if key not in tiles:
+            method = (trace.a_tile_access if operand == "a"
+                      else trace.b_tile_access)
+            tiles[key] = method(coord, k_offset)
+        return tiles[key]
+
+    t_compute = sim._compute_time_per_loop(workload, tile)
+    l1_bytes = 0.0
+    l2_bytes = 0.0
+    dram_a_bytes = 0.0
+    dram_b_bytes = 0.0
+    l1_requests = 0.0
+    simulated_ctas = 0
+    simulated_time = 0.0
+    k_offsets = [loop * tile.blk_k for loop in range(grid.main_loops_per_cta)]
+    budget = config.max_ctas if config.max_ctas is not None else grid.num_ctas
+
+    for wave in scheduler.waves():
+        if simulated_ctas >= budget:
+            break
+        per_sm = wave.per_sm()
+        wave_time = 0.0
+        for k_offset in k_offsets:
+            loop_l1_per_sm: Dict[int, float] = {}
+            loop_l2_total = 0.0
+            loop_dram_total = 0.0
+            for sm, ctas in per_sm.items():
+                sm_l1_bytes = 0.0
+                for cta_m, cta_n in ctas:
+                    a_access = tile_access("a", cta_m, k_offset)
+                    b_access = tile_access("b", cta_n, k_offset)
+                    l1_requests += a_access.l1_requests + b_access.l1_requests
+                    sm_l1_bytes += sum(
+                        access.fetch_bytes(config.l1_accounting,
+                                           gpu.l1_request_bytes, sector_bytes)
+                        for access in (a_access, b_access))
+                    for sectors in (a_access.sectors, b_access.sectors):
+                        missed = [sector for sector in sectors.tolist()
+                                  if not l1_caches[sm].access(sector)]
+                        loop_l2_total += len(missed) * sector_bytes
+                        for sector in missed:
+                            if l2_cache.access(sector):
+                                continue
+                            loop_dram_total += sector_bytes
+                            if sector >= b_sector_boundary:
+                                dram_b_bytes += sector_bytes
+                            else:
+                                dram_a_bytes += sector_bytes
+                loop_l1_per_sm[sm] = sm_l1_bytes
+                l1_bytes += sm_l1_bytes
+            l2_bytes += loop_l2_total
+            wave_time += sim._loop_time(per_sm, loop_l1_per_sm, loop_l2_total,
+                                        loop_dram_total, t_compute, dram)
+        simulated_ctas += wave.num_ctas
+        simulated_time += wave_time
+
+    dram.read(dram_a_bytes + dram_b_bytes)
+    scale = grid.num_ctas / max(1, simulated_ctas)
+    traffic = sim._extrapolate_traffic(workload, grid, scale, l1_bytes,
+                                       l2_bytes, dram_a_bytes, dram_b_bytes,
+                                       l1_requests)
+    time_seconds = sim._total_time(workload, grid, simulated_time, scale, dram)
+    return SimResult(layer=workload.layer, gpu=gpu, grid=grid,
+                     traffic=traffic, time_seconds=time_seconds,
+                     simulated_ctas=simulated_ctas, scale_factor=scale,
+                     pass_kind=workload.pass_kind)

@@ -1,11 +1,14 @@
-"""Equivalence tests: vectorized cache kernels vs the scalar reference.
+"""Equivalence tests: the batched cache kernels vs OrderedDict LRU models.
 
-Both cache classes expose a scalar ``access`` and a batched ``access_block``
-over one shared replacement state.  These tests check, against an independent
-OrderedDict model of LRU replacement, that
+Both cache classes expose a scalar ``access`` (the kernel on one sector) and a
+batched ``access_block`` over one replacement state.  These tests check,
+against the independent OrderedDict models in ``tests/oracles.py``, that
 
 * the scalar path, the block path, and arbitrary interleavings of the two
   produce bit-identical hit masks,
+* splitting a stream into blocks anywhere, including across the kernels'
+  internal chunks, never changes a hit (the simulator engine relies on this
+  to classify a whole wave's stream at once),
 * statistics stay exact under batched updates, and
 * adversarial reuse patterns around the capacity boundary are classified
   exactly.
@@ -14,56 +17,21 @@ Streams are drawn with hypothesis so duplicates inside one block, repeats
 across blocks, and capacity-straddling working sets all occur.
 """
 
-from collections import OrderedDict
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.sim import cache as cache_module
 from repro.sim.cache import (LruCache, SetAssociativeCache,
                              SetAssociativeCacheBank)
+
+from oracles import LruModel, SetAssocModel
 
 SECTOR = 32
 
 CACHE_SETTINGS = settings(max_examples=60, deadline=None,
                           suppress_health_check=[HealthCheck.too_slow])
-
-
-class LruModel:
-    """Independent OrderedDict model of fully associative LRU."""
-
-    def __init__(self, capacity_sectors: int) -> None:
-        self.capacity = capacity_sectors
-        self.entries: "OrderedDict[int, None]" = OrderedDict()
-
-    def access(self, sector: int) -> bool:
-        if sector in self.entries:
-            self.entries.move_to_end(sector)
-            return True
-        self.entries[sector] = None
-        if len(self.entries) > self.capacity:
-            self.entries.popitem(last=False)
-        return False
-
-
-class SetAssocModel:
-    """Independent OrderedDict model of set-indexed LRU."""
-
-    def __init__(self, num_sets: int, ways: int) -> None:
-        self.num_sets = num_sets
-        self.ways = ways
-        self.sets = [OrderedDict() for _ in range(num_sets)]
-
-    def access(self, sector: int) -> bool:
-        entries = self.sets[sector % self.num_sets]
-        if sector in entries:
-            entries.move_to_end(sector)
-            return True
-        entries[sector] = None
-        if len(entries) > self.ways:
-            entries.popitem(last=False)
-        return False
 
 
 @st.composite
@@ -229,3 +197,69 @@ class TestCacheBank:
         bank = SetAssociativeCacheBank(2, 1024, SECTOR)
         with pytest.raises(ValueError):
             bank.access_block([0], [1, 2])
+
+
+class TestBlockBoundaries:
+    """Hits do not depend on where a stream is cut into blocks or chunks."""
+
+    @given(data=sector_streams(), ways=st.integers(1, 16),
+           sets=st.integers(1, 6), num_caches=st.integers(1, 5),
+           chunk=st.integers(1, 9))
+    @CACHE_SETTINGS
+    def test_tiny_kernel_chunks_match_models(self, data, ways, sets,
+                                             num_caches, chunk):
+        stream, cuts = data
+        capacity = sets * ways * SECTOR
+        owners = np.random.default_rng(stream.size).integers(
+            0, num_caches, stream.size)
+        singles = [SetAssocModel(sets, ways) for _ in range(num_caches)]
+        expected_bank = np.asarray([singles[int(c)].access(int(s))
+                                    for c, s in zip(owners, stream)])
+        model = SetAssocModel(sets, ways)
+        expected_single = np.asarray([model.access(int(s)) for s in stream])
+        lru_model = LruModel(sets * ways)
+        expected_lru = np.asarray([lru_model.access(int(s)) for s in stream])
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cache_module, "_SET_CHUNK", chunk)
+            patch.setattr(cache_module, "_BLOCK_CHUNK", chunk)
+            bank = SetAssociativeCacheBank(num_caches, capacity, SECTOR,
+                                           ways=ways)
+            got_bank = np.concatenate(
+                [bank.access_block(owner_block, block)
+                 for owner_block, block in zip(np.split(owners, cuts),
+                                               np.split(stream, cuts))])
+            single = SetAssociativeCache(capacity, SECTOR, ways=ways)
+            got_single = run_blocks(single, stream, cuts)
+            lru = LruCache(capacity, SECTOR)
+            got_lru = run_blocks(lru, stream, cuts)
+
+        assert np.array_equal(got_bank, expected_bank)
+        assert np.array_equal(got_single, expected_single)
+        assert np.array_equal(got_lru, expected_lru)
+        assert bank.occupancy == sum(
+            len(entries) for m in singles for entries in m.sets)
+        assert single.occupancy == sum(len(entries) for entries in model.sets)
+
+    @given(data=sector_streams(), other=sector_streams(),
+           ways=st.integers(1, 16), sets=st.integers(1, 6))
+    @CACHE_SETTINGS
+    def test_any_split_gives_the_same_hits(self, data, other, ways, sets):
+        stream, cuts = data
+        other_cuts = [cut for cut in other[1] if cut <= stream.size]
+        capacity = sets * ways * SECTOR
+        owners = stream % 3
+        for make in (lambda: SetAssociativeCache(capacity, SECTOR, ways=ways),
+                     lambda: LruCache(capacity, SECTOR)):
+            whole = make().access_block(stream)
+            assert np.array_equal(run_blocks(make(), stream, cuts), whole)
+            assert np.array_equal(run_blocks(make(), stream, other_cuts),
+                                  whole)
+        whole = SetAssociativeCacheBank(3, capacity, SECTOR, ways=ways) \
+            .access_block(owners, stream)
+        bank = SetAssociativeCacheBank(3, capacity, SECTOR, ways=ways)
+        split = np.concatenate(
+            [bank.access_block(owner_block, block)
+             for owner_block, block in zip(np.split(owners, cuts),
+                                           np.split(stream, cuts))])
+        assert np.array_equal(split, whole)

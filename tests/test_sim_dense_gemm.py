@@ -20,6 +20,8 @@ from repro.sim.address import INVALID_ADDRESS
 from repro.sim.engine import ConvLayerSimulator, SimulatorConfig
 from repro.sim.im2col import GemmTraceGenerator
 
+from oracles import reference_simulate
+
 LINEAR = LinearLayerConfig("fc", batch=140, in_features=70, out_features=150)
 BATCHED = BatchedGemmLayerConfig("bgemm", batch=2, groups_per_sample=2,
                                  m=100, n=70, k=40)
@@ -114,8 +116,8 @@ def test_vectorized_engine_bit_identical_on_dense_traces(layer, pass_kind):
     workload = lower_pass(layer, pass_kind)
     vectorized = ConvLayerSimulator(
         TITAN_XP, SimulatorConfig(max_ctas=None)).run(workload)
-    scalar = ConvLayerSimulator(
-        TITAN_XP, SimulatorConfig(max_ctas=None))._run_reference(workload)
+    scalar = reference_simulate(TITAN_XP, SimulatorConfig(max_ctas=None),
+                                workload)
     for field in ("l1_bytes", "l2_bytes", "dram_bytes", "dram_ifmap_bytes",
                   "dram_filter_bytes", "l1_requests"):
         assert (getattr(vectorized.traffic, field)

@@ -1,12 +1,17 @@
 """Tests for the trace-driven convolution simulator (repro.sim.engine)."""
 
+import numpy as np
 import pytest
 
 from repro.core.layer import ConvLayerConfig
 from repro.core.model import DeltaModel
 from repro.core.workload import as_workload
 from repro.gpu import TITAN_XP
+from repro.sim import engine
+from repro.sim.cache import LruCache, SetAssociativeCacheBank
 from repro.sim.engine import ConvLayerSimulator, SimResult, SimulatorConfig
+
+from oracles import reference_simulate
 
 
 def _traffic_tuple(result: SimResult):
@@ -151,22 +156,75 @@ class TestGoldenTraffic:
     def test_reference_engine_matches_seed(self, case):
         layer_kwargs, config_kwargs, expected = GOLDEN_CASES[case]
         layer = ConvLayerConfig.square(case, **layer_kwargs)
-        result = ConvLayerSimulator(
-            TITAN_XP, SimulatorConfig(**config_kwargs)
-        )._run_reference(as_workload(layer))
+        result = reference_simulate(TITAN_XP, SimulatorConfig(**config_kwargs),
+                                    as_workload(layer))
         assert _traffic_tuple(result) == expected
 
-    def test_vectorized_equals_reference_on_multi_wave_grid(self):
+    def test_vectorized_equals_reference_on_multi_wave_grid(
+            self, multiwave_result):
         """A grid larger than one wave exercises cross-wave cache state."""
-        layer = ConvLayerConfig.square("multiwave", 8, in_channels=16,
-                                       in_size=28, out_channels=160,
-                                       filter_size=3, padding=1)
-        fast = ConvLayerSimulator(
-            TITAN_XP, SimulatorConfig(max_ctas=150)).run(layer)
-        slow = ConvLayerSimulator(
-            TITAN_XP, SimulatorConfig(max_ctas=150)
-        )._run_reference(as_workload(layer))
-        assert _traffic_tuple(fast) == _traffic_tuple(slow)
+        slow = reference_simulate(TITAN_XP, SimulatorConfig(max_ctas=150),
+                                  as_workload(MULTIWAVE))
+        assert _traffic_tuple(multiwave_result) == _traffic_tuple(slow)
+
+
+MULTIWAVE = ConvLayerConfig.square("multiwave", 8, in_channels=16,
+                                   in_size=28, out_channels=160,
+                                   filter_size=3, padding=1)
+
+
+@pytest.fixture(scope="module")
+def multiwave_result():
+    """Two waves (60 + 38 CTAs) on TITAN Xp, every CTA simulated."""
+    return ConvLayerSimulator(
+        TITAN_XP, SimulatorConfig(max_ctas=150)).run(MULTIWAVE)
+
+
+class TestWaveChunks:
+    """The engine classifies a wave's L1 stream in chunks of whole loops;
+    the chunk bound changes the work per kernel call, never the result."""
+
+    @pytest.mark.parametrize("budget", [1, 2500, 30000])
+    def test_chunk_bound_leaves_results_unchanged(self, monkeypatch,
+                                                  multiwave_result, budget):
+        monkeypatch.setattr(engine, "_WAVE_CHUNK_SECTORS", budget)
+        chunked = ConvLayerSimulator(
+            TITAN_XP, SimulatorConfig(max_ctas=150)).run(MULTIWAVE)
+        assert _traffic_tuple(chunked) == _traffic_tuple(multiwave_result)
+
+    def test_chunk_counts_match_loop_by_loop(self):
+        """Per-loop L2 / DRAM / B-side counts of one multi-loop chunk equal
+        those of the same loops classified one at a time."""
+        rng = np.random.default_rng(7)
+        segments, owners = [], []
+        for _ in range(12):
+            count = int(rng.integers(0, 5))
+            segments.append([np.unique(rng.integers(0, 600, rng.integers(1, 90)))
+                             for _ in range(count)])
+            owners.append(rng.integers(0, 4, count).tolist())
+        sizes = [sum(piece.size for piece in loop) for loop in segments]
+
+        def caches():
+            return (SetAssociativeCacheBank(4, 16 * 32, 32, ways=2),
+                    LruCache(96 * 32, 32))
+
+        whole = ConvLayerSimulator._classify_chunk(
+            *caches(), 300, segments, owners, sizes)
+        bank, l2 = caches()
+        one_by_one = np.concatenate(
+            [ConvLayerSimulator._classify_chunk(bank, l2, 300, [loop],
+                                                [owner], [size])
+             for loop, owner, size in zip(segments, owners, sizes)], axis=1)
+        assert whole.shape == (3, len(sizes))
+        assert whole.sum() > 0
+        assert np.array_equal(whole, one_by_one)
+
+    def test_loop_chunks_hold_whole_loops_within_budget(self):
+        sizes = [5, 0, 7, 20, 3, 3, 3]
+        chunks = engine._loop_chunks(sizes, budget=10)
+        assert chunks == [(0, 2), (2, 3), (3, 4), (4, 7)]
+        assert engine._loop_chunks([], budget=10) == []
+        assert engine._loop_chunks(sizes, budget=1000) == [(0, 7)]
 
 
 class TestSimulatorConfigValidation:

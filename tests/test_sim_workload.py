@@ -17,6 +17,8 @@ from repro.sim.address import INVALID_ADDRESS, WorkloadLayout
 from repro.sim.engine import ConvLayerSimulator, SimulatorConfig
 from repro.sim.im2col import GemmTraceGenerator
 
+from oracles import reference_simulate
+
 
 def make_generator(workload, gpu=TITAN_XP):
     grid = build_grid(workload)
@@ -134,8 +136,8 @@ class TestBackwardEngine:
         workload = lower_pass(small_conv_layer, pass_kind)
         vec = ConvLayerSimulator(
             TITAN_XP, SimulatorConfig(max_ctas=60)).run(workload)
-        ref = ConvLayerSimulator(
-            TITAN_XP, SimulatorConfig(max_ctas=60))._run_reference(workload)
+        ref = reference_simulate(TITAN_XP, SimulatorConfig(max_ctas=60),
+                                 workload)
         assert vec.traffic == ref.traffic
         assert vec.time_seconds == ref.time_seconds
         assert vec.pass_kind == pass_kind
